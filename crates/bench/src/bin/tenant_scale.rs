@@ -5,21 +5,22 @@
 //! completion and reports **tenants per second** of wall time plus the
 //! p50/p99 of every per-tenant replan's wall latency and a phase-time
 //! breakdown (plan / admit / execute) with the plan-cache tallies
-//! (solves, dedup fan-outs, replans skipped). Full mode serves 1024
-//! tenants on an 8-shard map, then an 8192-tenant region on 16 shards,
-//! then a 192-tenant smoke-sized reference; `--smoke` serves only the
-//! 192-tenant fleet with identical per-tenant work. Dedup amortizes
-//! solves over more tenants at larger scale, so tenants/s *grows* with
-//! fleet size: the CI smoke run gates against the committed baseline's
-//! smoke reference section, not the 1024-tenant number.
+//! (solves, dedup fan-outs, replans skipped). Full mode serves a
+//! 192-tenant smoke-sized reference first, then 1024 tenants on an
+//! 8-shard map, then an 8192-tenant region on 16 shards; `--smoke`
+//! serves only the 192-tenant fleet with identical per-tenant work. The
+//! first fleet a process serves runs cold and slower than the same
+//! fleet served later, so the reference goes first: the CI smoke run
+//! gates against that section, measured the way it measures itself.
 //!
-//! The throughput scenario runs the fast planning path the fleet ships
-//! with: cross-tenant solve dedup plus the drift-gated replan skip
-//! (`max_drift` 0.4, `max_score_delta` 0.10) — tenants whose batch
-//! shape barely moved serve their incumbent plan instead of re-running
-//! the annealer. Full mode asserts the fast path actually engages
-//! (dedup fan-outs > 0, replans skipped > 0): a silent fall-back to
-//! always-fresh planning must fail the bench, not quietly regress it.
+//! The throughput scenario runs the planning path the fleet ships with:
+//! exact cross-tenant solve dedup ([`cast_fleet::DedupMode::Exact`],
+//! the default) plus the drift-gated replan skip (`max_drift` 0.4,
+//! `max_score_delta` 0.10) — tenants whose batch shape barely moved
+//! serve their incumbent plan instead of re-running the annealer. Full
+//! mode asserts both paths actually engage (dedup fan-outs > 0, replans
+//! skipped > 0): a silent fall-back to always-fresh planning must fail
+//! the bench, not quietly regress it.
 //!
 //! Two correctness pins ride along, off the throughput clock:
 //!
@@ -46,14 +47,15 @@
 //!   tolerance (default 25%). The baseline is parsed generically so
 //!   reports from older or newer versions of this bin still check.
 //!
-//! Throughput numbers from this container are single-core: the worker
-//! pool only overlaps replans when the machine has cores to run them.
+//! The fleet runs on `cast_sim::par::default_workers()` threads, and the
+//! worker pool only overlaps replans when the machine has cores to run
+//! them: report the host's core count with any throughput number.
 
 use std::collections::BTreeSet;
 
 use cast_cloud::tier::PerTier;
 use cast_cloud::units::{DataSize, Duration};
-use cast_fleet::{DedupMode, Fleet, FleetConfig, FleetOutcome, TenantRegistry};
+use cast_fleet::{Fleet, FleetConfig, FleetOutcome, TenantRegistry};
 use cast_runtime::{OnlineRuntime, ReplanPolicy, RuntimeConfig, SkipPolicy};
 use cast_solver::AnnealConfig;
 use cast_workload::{tenant_fleet, FleetWorkloadConfig, TenantClass, TenantSpec};
@@ -108,11 +110,6 @@ fn fleet_config(workers: usize, capacity: PerTier<DataSize>) -> FleetConfig {
             seed: SOLVER_SEED,
             ..AnnealConfig::default()
         },
-        // Template-derived tenants share coarse shape but not exact byte
-        // counts: class-quantized grouping is what lets one anneal serve
-        // a whole template cohort (each member's own hysteresis
-        // judgement vets the transfer).
-        dedup: DedupMode::Class,
         ..FleetConfig::default()
     }
 }
@@ -152,10 +149,9 @@ struct Report {
     /// The 8192-tenant scale-out run (full mode only; absent → smoke).
     #[serde(skip_serializing_if = "Option::is_none")]
     xl: Option<FleetSection>,
-    /// A smoke-sized reference run (full mode only): dedup amortizes
-    /// solves over more tenants at larger scale, so tenants/s grows with
-    /// fleet size and a smoke run must gate against a smoke-sized
-    /// baseline, not the 1024-tenant number.
+    /// A smoke-sized reference run (full mode only), served first and
+    /// cold like a `--smoke` run's fleet: a smoke run gates against
+    /// this section, not the 1024-tenant number.
     #[serde(skip_serializing_if = "Option::is_none")]
     smoke: Option<FleetSection>,
     identity: IdentitySection,
@@ -355,10 +351,9 @@ fn check(current: &Report, baseline_path: &str, tolerance: f64) -> Result<(), St
         serde_json::from_str(&raw).map_err(|e| format!("bad baseline JSON: {e}"))?;
     let mut failures = Vec::new();
 
-    // Dedup makes tenants/s grow with fleet size (more tenants per
-    // solved template), so a smoke run checks against the baseline's
-    // smoke-sized reference section when one exists; older baselines
-    // without it fall back to the full fleet section.
+    // A smoke run checks against the baseline's smoke-sized reference
+    // section when one exists; older baselines without it fall back to
+    // the full fleet section.
     let section =
         if current.mode == "smoke" && parsed["smoke"]["tenants_per_sec"].as_f64().is_some() {
             "smoke"
@@ -439,12 +434,23 @@ fn main() {
         }
     }
 
+    let workers = cast_sim::par::default_workers();
+    // Served first, cold, as a `--smoke` run serves its fleet.
+    let smoke_ref = if smoke {
+        None
+    } else {
+        eprintln!("tenant_scale: serving {SMOKE_TENANTS} tenants on {SMOKE_SHARDS} shards (smoke reference)");
+        let out = serve(SMOKE_TENANTS, SMOKE_SHARDS, workers, 100_000.0);
+        let section = FleetSection::from_run(SMOKE_TENANTS, SMOKE_SHARDS, workers, &out);
+        section.log("smoke-ref");
+        Some(section)
+    };
+
     let (tenants, shards) = if smoke {
         (SMOKE_TENANTS, SMOKE_SHARDS)
     } else {
         (FULL_TENANTS, FULL_SHARDS)
     };
-    let workers = cast_sim::par::default_workers();
     eprintln!("tenant_scale: serving {tenants} tenants on {shards} shards with {workers} workers");
     let outcome = serve(tenants, shards, workers, 100_000.0);
     let fleet = FleetSection::from_run(tenants, shards, workers, &outcome);
@@ -459,16 +465,6 @@ fn main() {
             "the full fleet must skip at least one replan"
         );
     }
-
-    let smoke_ref = if smoke {
-        None
-    } else {
-        eprintln!("tenant_scale: serving {SMOKE_TENANTS} tenants on {SMOKE_SHARDS} shards (smoke reference)");
-        let out = serve(SMOKE_TENANTS, SMOKE_SHARDS, workers, 100_000.0);
-        let section = FleetSection::from_run(SMOKE_TENANTS, SMOKE_SHARDS, workers, &out);
-        section.log("smoke-ref");
-        Some(section)
-    };
 
     let xl = if smoke {
         None

@@ -5,8 +5,6 @@
 //! runtime breakdown (input download / data processing / output upload)
 //! and tenant utility normalised to ephSSD.
 
-use rayon::prelude::*;
-
 use cast_cloud::tier::Tier;
 use cast_cloud::units::DataSize;
 use cast_workload::apps::AppKind;
@@ -29,7 +27,7 @@ pub fn runs() -> Vec<(AppKind, Tier, SingleRun)> {
         .flat_map(|&(app, gb)| Tier::ALL.map(move |t| (app, gb, t)))
         .collect();
     cells
-        .into_par_iter()
+        .into_iter()
         .map(|(app, gb, tier)| (app, tier, fig1_cluster(app, DataSize::from_gb(gb), tier, 1)))
         .collect()
 }

@@ -6,8 +6,6 @@
 //! CAST fits through the observed points, evaluated on a finer grid —
 //! exactly the `perf (obs)` vs `perf (reg)` pairing of the figure.
 
-use rayon::prelude::*;
-
 use cast_cloud::tier::{PerTier, Tier};
 use cast_cloud::units::DataSize;
 use cast_cloud::Catalog;
@@ -46,7 +44,7 @@ pub fn observe(app: AppKind, input: DataSize, per_vm_gb: f64) -> f64 {
 /// One application's observed curve and its spline fit.
 pub fn curve(app: AppKind, input: DataSize) -> (Vec<(f64, f64)>, MonotoneSpline) {
     let observed: Vec<(f64, f64)> = CAPACITIES
-        .into_par_iter()
+        .into_iter()
         .map(|gb| (gb, observe(app, input, gb)))
         .collect();
     let spline = MonotoneSpline::fit(&observed).expect("distinct capacities");

@@ -6,8 +6,6 @@
 //! paid once (data stays resident between accesses). Utility is normalised
 //! to ephSSD within each pattern.
 
-use rayon::prelude::*;
-
 use cast_cloud::tier::Tier;
 use cast_cloud::units::DataSize;
 use cast_workload::apps::AppKind;
@@ -39,7 +37,7 @@ pub fn cells() -> Vec<(AppKind, Tier, &'static str, f64)> {
         })
         .collect();
     combos
-        .into_par_iter()
+        .into_iter()
         .map(|(app, gb, tier, label, pattern)| {
             let r = single_run(app, DataSize::from_gb(gb), tier, 1, pattern);
             (app, tier, label, r.utility)

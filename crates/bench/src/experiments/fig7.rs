@@ -3,8 +3,6 @@
 //! eight configurations (four non-tiered, two greedy variants, CAST,
 //! CAST++) on the 400-core cluster.
 
-use rayon::prelude::*;
-
 use cast_cloud::tier::Tier;
 use cast_core::framework::{Cast, PlanStrategy};
 use cast_workload::spec::WorkloadSpec;
@@ -35,7 +33,7 @@ pub struct ConfigResult {
 /// Plan and deploy every Fig. 7 configuration.
 pub fn evaluate_all(framework: &Cast, spec: &WorkloadSpec) -> Vec<ConfigResult> {
     PlanStrategy::ALL
-        .into_par_iter()
+        .into_iter()
         .map(|strategy| {
             let planned = framework.plan(spec, strategy).expect("planning");
             let out = framework.deploy(spec, &planned.plan).expect("deployment");

@@ -5,8 +5,6 @@
 //! the REG(·) prediction (spline-interpolated Eq. 1) with the simulated
 //! runtime. The paper reports an average error of 7.9 %.
 
-use rayon::prelude::*;
-
 use cast_cloud::tier::{PerTier, Tier};
 use cast_cloud::units::DataSize;
 use cast_estimator::{Estimator, PredictionError};
@@ -59,7 +57,7 @@ pub fn sweep() -> (Vec<(f64, f64, f64)>, PredictionError) {
     let estimator = paper_estimator();
     let spec = synth::prediction_workload();
     let rows: Vec<(f64, f64, f64)> = CAPACITIES
-        .into_par_iter()
+        .into_iter()
         .map(|gb| {
             (
                 gb,

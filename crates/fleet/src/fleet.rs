@@ -1,19 +1,22 @@
 //! The fleet scheduler: dispatching per-tenant replan epochs across a
 //! worker pool with shared-capacity admission between plan and execute.
 //!
-//! Each region epoch runs four phases:
+//! Each tenant owns one slot — its [`TenantSession`], the stage its
+//! current boundary has reached, and its settlement tallies — and each
+//! region epoch moves every slot through four phases:
 //!
 //! 1. **Plan (parallel with a sequential grouping step)** — every
 //!    tenant's [`TenantSession::begin_epoch`] fans out over
-//!    [`cast_sim::par::run_indexed_mut`]'s work-stealing pool. Batches
-//!    that still need the annealer come back as `PendingPlan`s; the
-//!    fleet groups them by solve signature, confirms each member's
-//!    canonical [`cast_runtime::SolveInputs`] equal its group
-//!    representative's, solves **one representative per group** in
-//!    parallel ([`TenantSession::solve_pending`] takes `&self`), and
-//!    fans the winning assignment out via
-//!    [`TenantSession::finish_epoch`] — bit-identical to a fresh solve
-//!    because the solver seed is content-derived.
+//!    [`cast_sim::par::run_indexed_mut`]'s work-stealing pool and leaves
+//!    the slot `Planned` (sealed without the annealer) or `Pending`. The
+//!    fleet takes the pending plans out in tenant order, groups them by
+//!    solve signature, confirms each member's canonical
+//!    [`cast_runtime::SolveInputs`] equal its group representative's,
+//!    solves **one representative per group** in parallel
+//!    ([`TenantSession::solve_pending`] takes `&self`), moves the
+//!    winning assignment into every member's slot, and seals each slot
+//!    via [`TenantSession::finish_epoch`] — bit-identical to a fresh
+//!    solve because the solver seed is content-derived.
 //! 2. **Admit (parallel across shards)** — each shard's planned demands
 //!    meet its own [`CapacityLedger`] under priority admission
 //!    ([`crate::admission::admit_epoch`]): guaranteed tenants get full
@@ -21,26 +24,24 @@
 //!    weighted max-min fair share. Shards are independent pure
 //!    functions of `(capacity, config, requests)`, so the fan-out
 //!    changes wall time only; verdicts merge in shard order.
-//! 3. **Execute (parallel)** — admitted batches run
-//!    [`TenantSession::execute_epoch`] under their granted fraction;
-//!    deferred batches re-enter the next boundary; rejected batches are
-//!    turned away.
-//! 4. **Settle (sequential)** — verdicts land in the fleet collector as
+//! 3. **Settle (sequential)** — verdicts land in the fleet collector as
 //!    `tenant_epoch` trace events (tagged with the plan's provenance:
 //!    fresh / deduped / skipped) and in the per-tenant/per-shard
-//!    accumulators, always in (shard, tenant-id) order.
+//!    accumulators, always in (shard, tenant-id) order. Admitted slots
+//!    carry their grant; deferred and rejected batches go back to their
+//!    sessions.
+//! 4. **Execute (parallel)** — admitted slots run
+//!    [`TenantSession::execute_epoch`] under their granted fraction.
 //!
 //! The parallel stages run under the `run_indexed` determinism contract
 //! (outputs depend only on the index, never on worker count or claim
 //! order), and every merge is a single-threaded walk in fixed order —
 //! so the merged [`FleetReport`] serialises byte-identically across 1,
 //! 2 or 8 workers, and across [`DedupMode::Exact`] vs
-//! [`DedupMode::Off`] ([`DedupMode::Class`] is a deliberate
-//! approximation for template-derived fleets; clones within it stay
-//! exact). Wall-clock measurements and plan-cache counters are
-//! quarantined in [`FleetStats`].
+//! [`DedupMode::Off`]. Wall-clock measurements and plan-cache counters
+//! are quarantined in [`FleetStats`].
 
-use std::sync::Mutex;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use cast_cloud::tier::PerTier;
@@ -49,8 +50,8 @@ use cast_cloud::CapacityLedger;
 use cast_estimator::Estimator;
 use cast_obs::{Collector, EventBody};
 use cast_runtime::{
-    PendingPlan, PlanPhase, PlanProvenance, PlannedEpoch, RuntimeConfig, SolveProduct,
-    TenantSession,
+    PendingPlan, PlanPhase, PlanProvenance, PlannedEpoch, RuntimeConfig, RuntimeError,
+    SolveProduct, TenantSession,
 };
 use cast_sim::par::{run_indexed, run_indexed_mut};
 use cast_solver::AnnealConfig;
@@ -84,7 +85,9 @@ pub struct FleetConfig {
 /// How the fleet groups pending solves for cross-tenant dedup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DedupMode {
-    /// Every pending solve runs its own annealer.
+    /// Every pending solve runs its own annealer — the always-fresh
+    /// reference the determinism tests compare [`DedupMode::Exact`]
+    /// against.
     Off,
     /// Group by the exact solve signature and verify each member's
     /// canonical [`cast_runtime::SolveInputs`] equal the group
@@ -93,18 +96,6 @@ pub enum DedupMode {
     /// dedup only trades throughput for simpler accounting.
     #[default]
     Exact,
-    /// Group by the quantized class signature and verify each member's
-    /// [`cast_runtime::ClassInputs`] — the per-job equivalence classes
-    /// (coarse drift bucket × init placement) and warm flag — equal the
-    /// representative's. Members whose exact
-    /// byte counts differ adopt the representative's positional
-    /// assignment anyway; each member's own hysteresis judgement then
-    /// re-scores that candidate on its *real* batch, vetoing transfers
-    /// that don't genuinely pay. Tenants whose exact inputs also match
-    /// (clones) remain byte-identical to fresh solves; for the rest
-    /// this is a deliberate approximation — the throughput mode for
-    /// large fleets of template-derived tenants.
-    Class,
 }
 
 impl Default for FleetConfig {
@@ -155,6 +146,125 @@ struct TenantAccum {
     grant_sum: f64,
 }
 
+/// How far a tenant's current boundary has come. Each phase moves a
+/// stage one step: begin leaves it `Idle`, `Planned` or `Pending`;
+/// grouping takes `Pending` out and the solve hands it back `Solved`;
+/// finish turns `Solved` into `Planned`; settlement turns `Planned`
+/// into `Admitted` or returns it to the session; execute leaves `Idle`.
+enum Stage {
+    Idle,
+    Pending(Box<PendingPlan>),
+    Solved {
+        pending: Box<PendingPlan>,
+        product: SolveProduct,
+        provenance: PlanProvenance,
+    },
+    Planned(PlannedEpoch),
+    /// Admitted under the granted capacity fraction.
+    Admitted(PlannedEpoch, f64),
+}
+
+/// One tenant's session plus everything the epoch loop carries for it
+/// between phases.
+struct TenantSlot<'a> {
+    session: TenantSession<'a>,
+    stage: Stage,
+    /// Wall seconds of this boundary's planning done for this tenant
+    /// (begin + finish, plus the solve when it represented its group).
+    plan_wall: f64,
+    /// Consecutive deferrals, which admission escalates to rejection.
+    consec_defer: usize,
+    accum: TenantAccum,
+}
+
+impl TenantSlot<'_> {
+    fn begin(&mut self, k: u32) -> Result<(), RuntimeError> {
+        let t = Instant::now();
+        let phase = self.session.begin_epoch(k);
+        self.plan_wall = t.elapsed().as_secs_f64();
+        self.stage = match phase? {
+            PlanPhase::Idle => Stage::Idle,
+            PlanPhase::Planned(p) => Stage::Planned(p),
+            PlanPhase::Solve(p) => Stage::Pending(p),
+        };
+        Ok(())
+    }
+
+    fn finish(&mut self) -> Result<(), RuntimeError> {
+        match std::mem::replace(&mut self.stage, Stage::Idle) {
+            Stage::Solved {
+                pending,
+                product,
+                provenance,
+            } => {
+                let t = Instant::now();
+                let planned = self.session.finish_epoch(*pending, &product, provenance)?;
+                self.plan_wall += t.elapsed().as_secs_f64();
+                self.stage = Stage::Planned(planned);
+            }
+            other => self.stage = other,
+        }
+        Ok(())
+    }
+
+    /// Run an admitted batch under its grant; `false` when the slot had
+    /// none.
+    fn execute(&mut self) -> Result<bool, RuntimeError> {
+        let Stage::Admitted(planned, frac) = std::mem::replace(&mut self.stage, Stage::Idle) else {
+            return Ok(false);
+        };
+        self.session.execute_epoch(planned, frac)?;
+        Ok(true)
+    }
+}
+
+/// One annealer solve: the representative tenant whose session runs it
+/// and the members whose plans adopt its product.
+struct Group {
+    rep: usize,
+    plan: Box<PendingPlan>,
+    members: Vec<(usize, Box<PendingPlan>)>,
+}
+
+/// Take every `Pending` plan out of its slot and group the plans for
+/// solving. The signature is a grouping hint only: each member's
+/// canonical content must equal the representative's, or it starts its
+/// own group — a digest collision can cost a solve, never correctness.
+/// Tenants are walked in id order, so the representative choice is
+/// deterministic regardless of worker count.
+fn group_pending(dedup: DedupMode, slots: &mut [TenantSlot<'_>]) -> Vec<Group> {
+    let mut groups = Vec::new();
+    let mut by_sig: BTreeMap<u64, Vec<Group>> = BTreeMap::new();
+    for (i, slot) in slots.iter_mut().enumerate() {
+        let plan = match std::mem::replace(&mut slot.stage, Stage::Idle) {
+            Stage::Pending(plan) => plan,
+            other => {
+                slot.stage = other;
+                continue;
+            }
+        };
+        let solo = Group {
+            rep: i,
+            plan,
+            members: Vec::new(),
+        };
+        if dedup == DedupMode::Off {
+            groups.push(solo);
+            continue;
+        }
+        let subs = by_sig.entry(solo.plan.signature()).or_default();
+        match subs
+            .iter_mut()
+            .find(|g| g.plan.inputs() == solo.plan.inputs())
+        {
+            Some(g) => g.members.push((i, solo.plan)),
+            None => subs.push(solo),
+        }
+    }
+    groups.extend(by_sig.into_values().flatten());
+    groups
+}
+
 impl<'a> Fleet<'a> {
     /// A fleet over `estimator`'s cloud with the given knobs.
     pub fn new(estimator: &'a Estimator, cfg: FleetConfig) -> Self {
@@ -177,20 +287,27 @@ impl<'a> Fleet<'a> {
         if cfg.workers == 0 {
             return Err(FleetError::Config("workers must be > 0"));
         }
-        let n = registry.len();
-        let mut sessions: Vec<TenantSession<'a>> = Vec::with_capacity(n);
+        let mut slots: Vec<TenantSlot<'a>> = Vec::with_capacity(registry.len());
         for spec in registry.specs() {
-            sessions.push(TenantSession::new(
-                self.estimator,
-                cfg.anneal,
-                cfg.runtime,
-                spec.stream()?,
-            ));
+            slots.push(TenantSlot {
+                session: TenantSession::new(
+                    self.estimator,
+                    cfg.anneal,
+                    cfg.runtime,
+                    spec.stream()?,
+                ),
+                stage: Stage::Idle,
+                plan_wall: 0.0,
+                consec_defer: 0,
+                accum: TenantAccum::default(),
+            });
         }
-        let epochs = sessions.iter().map(|s| s.epoch_count()).max().unwrap_or(1);
+        let epochs = slots
+            .iter()
+            .map(|s| s.session.epoch_count())
+            .max()
+            .unwrap_or(1);
 
-        let mut consec_defer = vec![0usize; n];
-        let mut tacc = vec![TenantAccum::default(); n];
         let mut sacc: Vec<ShardReport> = (0..registry.shards())
             .map(|shard| ShardReport {
                 shard,
@@ -204,85 +321,15 @@ impl<'a> Fleet<'a> {
         let mut stats = FleetStats::default();
 
         for k in 0..epochs {
-            // Phase 1a — assemble every tenant's boundary in parallel.
-            // Epochs the skip gates or replan policy sealed come back
-            // `Planned`; the rest surface their solve inputs.
+            // Phase 1a — open every tenant's boundary in parallel.
             let t_plan = Instant::now();
-            let outcomes = run_indexed_mut(cfg.workers, &mut sessions, |_, s| {
-                let t = Instant::now();
-                let r = s.begin_epoch(k);
-                (r, t.elapsed().as_secs_f64())
-            });
-            let mut plans: Vec<Option<PlannedEpoch>> = Vec::with_capacity(n);
-            let mut walls: Vec<f64> = Vec::with_capacity(n);
-            let mut pendings: Vec<Option<Box<PendingPlan>>> = Vec::with_capacity(n);
-            for (r, wall) in outcomes {
-                let (plan, pending) = match r? {
-                    PlanPhase::Idle => (None, None),
-                    PlanPhase::Planned(p) => (Some(p), None),
-                    PlanPhase::Solve(pp) => (None, Some(pp)),
-                };
-                plans.push(plan);
-                pendings.push(pending);
-                walls.push(wall);
+            for r in run_indexed_mut(cfg.workers, &mut slots, |_, slot| slot.begin(k)) {
+                r?;
             }
 
-            // Phase 1b — group pending solves (sequential, cheap). The
-            // signature — exact or class-quantized per the dedup mode —
-            // is a grouping hint only: each member's canonical content
-            // must equal the representative's, or it falls out into its
-            // own group — a digest collision can cost a solve, never
-            // correctness. Grouping walks tenants in id order, so the
-            // representative choice is deterministic regardless of
-            // worker count.
-            let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-            if cfg.dedup == DedupMode::Off {
-                for (i, p) in pendings.iter().enumerate() {
-                    if p.is_some() {
-                        groups.push((i, Vec::new()));
-                    }
-                }
-            } else {
-                let sig_of = |p: &PendingPlan| match cfg.dedup {
-                    DedupMode::Exact => p.signature(),
-                    DedupMode::Class => p.class_set_signature(),
-                    DedupMode::Off => unreachable!("handled above"),
-                };
-                let same = |a: &PendingPlan, b: &PendingPlan| match cfg.dedup {
-                    DedupMode::Exact => a.inputs() == b.inputs(),
-                    DedupMode::Class => a.class_set_matches(b),
-                    DedupMode::Off => unreachable!("handled above"),
-                };
-                let mut by_sig: std::collections::HashMap<u64, Vec<usize>> =
-                    std::collections::HashMap::new();
-                for (i, p) in pendings.iter().enumerate() {
-                    if let Some(p) = p {
-                        by_sig.entry(sig_of(p)).or_default().push(i);
-                    }
-                }
-                let mut sigs: Vec<u64> = by_sig.keys().copied().collect();
-                sigs.sort_unstable();
-                for sig in sigs {
-                    let members = &by_sig[&sig];
-                    // Members arrive in tenant order; the first becomes
-                    // the representative, and any member whose content
-                    // differs (collision) seeds a new sub-group.
-                    let mut subs: Vec<(usize, Vec<usize>)> = Vec::new();
-                    for &i in members {
-                        let p = pendings[i].as_ref().expect("grouped Some");
-                        match subs
-                            .iter_mut()
-                            .find(|(rep, _)| same(pendings[*rep].as_ref().expect("rep Some"), p))
-                        {
-                            Some((_, v)) => v.push(i),
-                            None => subs.push((i, Vec::new())),
-                        }
-                    }
-                    groups.extend(subs);
-                }
-            }
-            let fanouts = groups.iter().map(|(_, v)| v.len() as u64).sum::<u64>();
-            stats.cache_groups += groups.len() as u64;
+            // Phase 1b — group the pending solves (sequential, cheap).
+            let groups = group_pending(cfg.dedup, &mut slots);
+            let fanouts = groups.iter().map(|g| g.members.len() as u64).sum::<u64>();
             stats.solves += groups.len() as u64;
             stats.dedup_fanouts += fanouts;
             self.obs
@@ -291,75 +338,42 @@ impl<'a> Fleet<'a> {
             self.obs.counter("fleet.plan.deduped").add(fanouts);
 
             // Phase 1c — solve one representative per group in
-            // parallel. `solve_pending` holds the sessions immutably.
-            let sessions_ref = &sessions;
-            let pendings_ref = &pendings;
-            let groups_ref = &groups;
-            let solve_results: Vec<(Result<SolveProduct, _>, f64)> =
-                run_indexed(cfg.workers, groups.len(), |g| {
-                    let rep = groups_ref[g].0;
-                    let t = Instant::now();
-                    let r = sessions_ref[rep]
-                        .solve_pending(pendings_ref[rep].as_ref().expect("rep Some"));
-                    (r, t.elapsed().as_secs_f64())
-                });
-
-            // Phase 1d — seal every pending epoch in parallel: each
-            // tenant adopts its group's product (the representative as
-            // Fresh, the rest as Deduped) and runs its own hysteresis
-            // judgement, migration diff and demand aggregation.
-            let finish_slots: Vec<Mutex<Option<(Box<PendingPlan>, SolveProduct, PlanProvenance)>>> =
-                (0..n).map(|_| Mutex::new(None)).collect();
-            for (g, (result, solve_wall)) in solve_results.into_iter().enumerate() {
-                let (rep, members) = &groups[g];
-                let product = result?;
-                walls[*rep] += solve_wall;
-                for &i in members {
-                    // Class members adopt through the class transfer
-                    // (permutation when multisets match, per-class
-                    // lookup otherwise); exact members share the
-                    // positional layout, so the product moves as-is.
-                    let member_product = if cfg.dedup == DedupMode::Class {
-                        cast_runtime::transfer_class_product(
-                            pendings[*rep].as_ref().expect("rep Some"),
-                            &product,
-                            pendings[i].as_ref().expect("member Some"),
-                        )
-                    } else {
-                        product.clone()
-                    };
-                    *finish_slots[i].lock().expect("uncontended") = Some((
-                        pendings[i].take().expect("member Some"),
-                        member_product,
-                        PlanProvenance::Deduped,
-                    ));
-                }
-                *finish_slots[*rep].lock().expect("uncontended") = Some((
-                    pendings[*rep].take().expect("rep Some"),
-                    product,
-                    PlanProvenance::Fresh,
-                ));
-            }
-            let fslots = &finish_slots;
-            let finished = run_indexed_mut(cfg.workers, &mut sessions, |i, s| {
-                match fslots[i].lock().expect("uncontended").take() {
-                    Some((pending, product, prov)) => {
-                        let t = Instant::now();
-                        let r = s.finish_epoch(*pending, &product, prov).map(Some);
-                        (r, t.elapsed().as_secs_f64())
-                    }
-                    None => (Ok(None), 0.0),
-                }
+            // parallel; `solve_pending` holds the sessions immutably.
+            // Products then move into the slots in group order: the
+            // representative adopts as Fresh, the rest as Deduped.
+            let (slots_ref, groups_ref) = (&slots, &groups);
+            let solved = run_indexed(cfg.workers, groups.len(), |g| {
+                let group = &groups_ref[g];
+                let t = Instant::now();
+                let r = slots_ref[group.rep].session.solve_pending(&group.plan);
+                (r, t.elapsed().as_secs_f64())
             });
-            for (i, (r, wall)) in finished.into_iter().enumerate() {
-                if let Some(p) = r? {
-                    walls[i] += wall;
-                    plans[i] = Some(p);
+            for (group, (result, solve_wall)) in groups.into_iter().zip(solved) {
+                let product = result?;
+                for (i, pending) in group.members {
+                    slots[i].stage = Stage::Solved {
+                        pending,
+                        product: product.clone(),
+                        provenance: PlanProvenance::Deduped,
+                    };
                 }
+                let rep = &mut slots[group.rep];
+                rep.plan_wall += solve_wall;
+                rep.stage = Stage::Solved {
+                    pending: group.plan,
+                    product,
+                    provenance: PlanProvenance::Fresh,
+                };
             }
-            for (i, p) in plans.iter().enumerate() {
-                if let Some(p) = p {
-                    stats.replan_wall_secs.push(walls[i]);
+
+            // Phase 1d — seal every solved slot in parallel: hysteresis
+            // judgement, migration diff and demand aggregation.
+            for r in run_indexed_mut(cfg.workers, &mut slots, |_, slot| slot.finish()) {
+                r?;
+            }
+            for slot in &slots {
+                if let Stage::Planned(p) = &slot.stage {
+                    stats.replan_wall_secs.push(slot.plan_wall);
                     if p.provenance() == PlanProvenance::Skipped {
                         stats.replans_skipped += 1;
                         self.obs.counter("fleet.plan.skipped").inc();
@@ -372,62 +386,57 @@ impl<'a> Fleet<'a> {
             // ledgers, fanned out across shards (each shard is a pure
             // function of its own requests; merge order is fixed).
             let t_admit = Instant::now();
-            let plans_ref = &plans;
-            let defer_ref = &consec_defer;
+            let slots_ref = &slots;
             let shard_verdicts: Vec<(Vec<(usize, Admission)>, f64)> =
                 run_indexed(cfg.workers, registry.shards() as usize, |shard| {
-                    let shard = shard as u32;
-                    let idxs: Vec<usize> = registry
-                        .shard_tenants(shard)
+                    let planned: Vec<(usize, &PlannedEpoch)> = registry
+                        .shard_tenants(shard as u32)
                         .iter()
-                        .copied()
-                        .filter(|&i| plans_ref[i].is_some())
+                        .filter_map(|&i| match &slots_ref[i].stage {
+                            Stage::Planned(p) => Some((i, p)),
+                            _ => None,
+                        })
                         .collect();
-                    if idxs.is_empty() {
+                    if planned.is_empty() {
                         return (Vec::new(), 0.0);
                     }
-                    let requests: Vec<AdmissionRequest> = idxs
+                    let requests: Vec<AdmissionRequest> = planned
                         .iter()
-                        .map(|&i| {
+                        .map(|&(i, p)| {
                             let spec = &registry.specs()[i];
                             AdmissionRequest {
                                 tenant: spec.id.0,
                                 priority: spec.priority(),
                                 weight: spec.weight(),
-                                demand: *plans_ref[i].as_ref().expect("filtered Some").demand(),
-                                deferrals: defer_ref[i],
+                                demand: *p.demand(),
+                                deferrals: slots_ref[i].consec_defer,
                             }
                         })
                         .collect();
                     let mut ledger = CapacityLedger::new(cfg.shard_capacity);
                     let vs = admit_epoch(&mut ledger, &cfg.admission, &requests);
-                    (idxs.into_iter().zip(vs).collect(), ledger.utilization())
+                    let tenants = planned.into_iter().map(|(i, _)| i);
+                    (tenants.zip(vs).collect(), ledger.utilization())
                 });
-            let mut verdicts: Vec<Option<Admission>> = vec![None; n];
-            for (shard, (vs, utilization)) in shard_verdicts.into_iter().enumerate() {
-                let s = &mut sacc[shard];
-                s.peak_utilization = s.peak_utilization.max(utilization);
-                for (i, v) in vs {
-                    verdicts[i] = Some(v);
-                }
-            }
             stats.admit_wall_secs += t_admit.elapsed().as_secs_f64();
 
-            // Phase 4a — settle verdicts in (shard, tenant) order:
-            // trace events, accumulators, defer/reject bookkeeping; the
-            // admitted batches queue for parallel execution.
-            let exec_slots: Vec<Mutex<Option<(PlannedEpoch, f64)>>> =
-                (0..n).map(|_| Mutex::new(None)).collect();
+            // Phase 3 — settle verdicts in (shard, tenant) order: trace
+            // events, accumulators, defer/reject bookkeeping; admitted
+            // slots keep their plan and grant for execution.
             let boundary_secs = cfg.runtime.epoch.secs() * (k + 1) as f64;
-            for shard in 0..registry.shards() {
-                for &i in registry.shard_tenants(shard) {
-                    let Some(v) = verdicts[i] else { continue };
-                    let p = plans[i].take().expect("verdict implies plan");
+            for (shard, (verdicts, utilization)) in shard_verdicts.into_iter().enumerate() {
+                let sr = &mut sacc[shard];
+                sr.peak_utilization = sr.peak_utilization.max(utilization);
+                for (i, v) in verdicts {
+                    let slot = &mut slots[i];
+                    let Stage::Planned(p) = std::mem::replace(&mut slot.stage, Stage::Idle) else {
+                        continue;
+                    };
                     self.obs.emit(
                         boundary_secs,
                         EventBody::TenantEpoch {
                             tenant: registry.specs()[i].id.0,
-                            shard,
+                            shard: shard as u32,
                             epoch: k,
                             admission: v.label().to_string(),
                             granted_frac: v.granted_frac(),
@@ -436,42 +445,35 @@ impl<'a> Fleet<'a> {
                     );
                     match v {
                         Admission::Admitted { frac } => {
-                            consec_defer[i] = 0;
+                            slot.consec_defer = 0;
                             if frac >= 1.0 {
-                                tacc[i].admitted_full += 1;
+                                slot.accum.admitted_full += 1;
                             } else {
-                                tacc[i].admitted_partial += 1;
+                                slot.accum.admitted_partial += 1;
                             }
-                            tacc[i].grant_sum += frac;
-                            sacc[shard as usize].admitted += 1;
-                            *exec_slots[i].lock().expect("uncontended") = Some((p, frac));
+                            slot.accum.grant_sum += frac;
+                            sr.admitted += 1;
+                            slot.stage = Stage::Admitted(p, frac);
                         }
                         Admission::Deferred => {
-                            consec_defer[i] += 1;
-                            tacc[i].deferrals += 1;
-                            sacc[shard as usize].deferred += 1;
-                            sessions[i].defer_epoch(p);
+                            slot.consec_defer += 1;
+                            slot.accum.deferrals += 1;
+                            sr.deferred += 1;
+                            slot.session.defer_epoch(p);
                         }
                         Admission::Rejected => {
-                            consec_defer[i] = 0;
-                            sacc[shard as usize].rejected_batches += 1;
-                            sessions[i].reject_epoch(p);
+                            slot.consec_defer = 0;
+                            sr.rejected_batches += 1;
+                            slot.session.reject_epoch(p);
                         }
                     }
                 }
             }
 
-            // Phase 3 — execute admitted batches in parallel under their
+            // Phase 4 — execute admitted batches in parallel under their
             // grants.
             let t_exec = Instant::now();
-            let slots = &exec_slots;
-            let results = run_indexed_mut(cfg.workers, &mut sessions, |i, s| {
-                match slots[i].lock().expect("uncontended").take() {
-                    Some((p, frac)) => s.execute_epoch(p, frac).map(|_| true),
-                    None => Ok(false),
-                }
-            });
-            for r in results {
+            for r in run_indexed_mut(cfg.workers, &mut slots, |_, slot| slot.execute()) {
                 if r? {
                     stats.executed_epochs += 1;
                 }
@@ -480,20 +482,21 @@ impl<'a> Fleet<'a> {
         }
 
         // Final settlement: per-tenant rollups in id order, region totals.
-        let mut tenants = Vec::with_capacity(n);
-        for (i, (session, spec)) in sessions.into_iter().zip(registry.specs()).enumerate() {
-            let report = session.finish();
-            let admitted = tacc[i].admitted_full + tacc[i].admitted_partial;
+        let mut tenants = Vec::with_capacity(slots.len());
+        for (i, (slot, spec)) in slots.into_iter().zip(registry.specs()).enumerate() {
+            let report = slot.session.finish();
+            let a = slot.accum;
+            let admitted = a.admitted_full + a.admitted_partial;
             tenants.push(TenantSummary {
                 tenant: spec.id.0,
                 shard: registry.shard_of_index(i),
                 class: spec.class.label().to_string(),
                 epochs_served: report.epochs.len(),
-                admitted_full: tacc[i].admitted_full,
-                admitted_partial: tacc[i].admitted_partial,
-                deferrals: tacc[i].deferrals,
+                admitted_full: a.admitted_full,
+                admitted_partial: a.admitted_partial,
+                deferrals: a.deferrals,
                 mean_grant: if admitted > 0 {
-                    tacc[i].grant_sum / admitted as f64
+                    a.grant_sum / admitted as f64
                 } else {
                     0.0
                 },
@@ -715,6 +718,49 @@ mod tests {
             snap.counter("fleet.plan.skipped").unwrap_or(0),
             out.stats.replans_skipped
         );
+    }
+
+    #[test]
+    fn every_planned_tenant_epoch_has_one_provenance_and_one_verdict() {
+        // Each planned tenant-epoch is exactly one of fresh, deduped or
+        // skipped, and settlement traces exactly one verdict for it — on
+        // both dedup modes, any worker count, ample and contended pools.
+        let est = estimator(4);
+        let reg = small_fleet(10, 0xF66);
+        for dedup in [DedupMode::Exact, DedupMode::Off] {
+            for workers in [1, 8] {
+                for capacity_tb in [100.0, 0.05] {
+                    let cfg = FleetConfig {
+                        workers,
+                        dedup,
+                        ..quick_cfg(capacity_tb)
+                    };
+                    let col = Collector::recording();
+                    let out = Fleet::new(&est, cfg)
+                        .observe(col.clone())
+                        .run(&reg)
+                        .unwrap();
+                    let s = &out.stats;
+                    let planned = s.replan_wall_secs.len() as u64;
+                    let case = format!("{dedup:?} workers={workers} capacity={capacity_tb} TB");
+                    assert!(planned > 0, "{case}");
+                    assert_eq!(
+                        s.solves + s.dedup_fanouts + s.replans_skipped,
+                        planned,
+                        "{case}"
+                    );
+                    let verdicts = col
+                        .events()
+                        .iter()
+                        .filter(|e| matches!(e.body, EventBody::TenantEpoch { .. }))
+                        .count() as u64;
+                    assert_eq!(verdicts, planned, "{case}");
+                    if capacity_tb < 1.0 {
+                        assert!(out.report.deferrals > 0, "{case} must contend");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

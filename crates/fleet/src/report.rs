@@ -116,9 +116,6 @@ pub struct FleetStats {
     /// Epochs whose annealer was skipped by the replan-skip gates
     /// (exact cache hits + drift-gated skips + policy no-replans).
     pub replans_skipped: u64,
-    /// Signature groups formed across all epochs (`solves` ≤ pending
-    /// plans; `cache_groups == solves` since each group solves once).
-    pub cache_groups: u64,
     /// Wall seconds in the plan phase (begin + solve + finish), summed
     /// over epochs.
     pub plan_wall_secs: f64,
@@ -136,7 +133,7 @@ impl FleetStats {
             return 0.0;
         }
         let mut sorted = self.replan_wall_secs.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        sorted.sort_by(f64::total_cmp);
         let rank = ((pct / 100.0) * (sorted.len() - 1) as f64).round() as usize;
         sorted[rank.min(sorted.len() - 1)]
     }
@@ -158,6 +155,12 @@ mod tests {
         assert_eq!(stats.replan_percentile(50.0), 51.0);
         assert_eq!(stats.replan_percentile(100.0), 100.0);
         assert_eq!(FleetStats::default().replan_percentile(99.0), 0.0);
+        // The samples are public, so a caller-built set may hold a NaN:
+        // it sorts last instead of panicking.
+        let mut with_nan = stats.clone();
+        with_nan.replan_wall_secs.push(f64::NAN);
+        assert_eq!(with_nan.replan_percentile(50.0), 51.0);
+        assert!(with_nan.replan_percentile(100.0).is_nan());
     }
 
     #[test]

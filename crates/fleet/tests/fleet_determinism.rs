@@ -231,11 +231,9 @@ fn cloned_tenants_dedup_into_shared_solves() {
         .unwrap();
     assert!(
         fast.stats.dedup_fanouts > 0,
-        "cloned tenants must share solves (solves={}, groups={})",
-        fast.stats.solves,
-        fast.stats.cache_groups
+        "cloned tenants must share solves (solves={})",
+        fast.stats.solves
     );
-    assert_eq!(fast.stats.solves, fast.stats.cache_groups);
 
     let mut off = fleet_config(&sc, 2);
     off.dedup = DedupMode::Off;
@@ -247,18 +245,6 @@ fn cloned_tenants_dedup_into_shared_solves() {
     assert_eq!(fresh.stats.dedup_fanouts, 0);
     assert_eq!(
         serde_json::to_string(&fast.report).unwrap(),
-        serde_json::to_string(&fresh.report).unwrap()
-    );
-
-    // Class-quantized grouping subsumes exact grouping for clones:
-    // equal exact inputs imply equal class inputs, so the class mode
-    // must fan out at least as widely and still serve the same bytes.
-    let mut class = fleet_config(&sc, 2);
-    class.dedup = DedupMode::Class;
-    let approx = Fleet::new(&est, class).run(&registry).unwrap();
-    assert!(approx.stats.dedup_fanouts >= fast.stats.dedup_fanouts);
-    assert_eq!(
-        serde_json::to_string(&approx.report).unwrap(),
         serde_json::to_string(&fresh.report).unwrap()
     );
 }

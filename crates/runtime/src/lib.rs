@@ -44,6 +44,6 @@ pub use migrate::{execute_schedule, home_tier, plan_delta, MigrationSchedule, Pr
 pub use report::{EpochReport, OnlineReport};
 pub use runtime::OnlineRuntime;
 pub use session::{
-    ingest_plan, majority_tiers, transfer_class_product, ClassInputs, PendingPlan, PlanPhase,
-    PlanProvenance, PlannedEpoch, SolveInputs, SolveProduct, TenantSession, INGEST_FALLBACK,
+    ingest_plan, majority_tiers, PendingPlan, PlanPhase, PlanProvenance, PlannedEpoch, SolveInputs,
+    SolveProduct, TenantSession, INGEST_FALLBACK,
 };

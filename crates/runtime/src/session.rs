@@ -122,39 +122,6 @@ pub struct SolveInputs {
     warm: bool,
 }
 
-/// Quantized equivalence-class content of one annealer solve: the
-/// *sorted multiset* of per-job class items — each job collapsed to its
-/// coarse [`drift bucket`](cast_workload::Job::drift_key), paired with
-/// its init assignment — plus the warm flag and profiles. Dataset
-/// identity is deliberately dropped: reuse structure rarely flips a
-/// class-level tiering call, and the member-side hysteresis re-score
-/// catches the cases where it would. Fleet class-level dedup groups
-/// batches whose
-/// *sets* of distinct class items coincide
-/// ([`PendingPlan::class_set_matches`]): same app mix, same size
-/// classes, same reuse structure, same starting placement per class —
-/// possibly different per-class job counts, byte counts and positional
-/// order. One representative solves; [`transfer_class_product`] carries
-/// the winning assignment to each member. The transfer is an
-/// approximation, not an identity — but a *safe* one, because
-/// [`TenantSession::finish_epoch`] re-scores the transferred candidate
-/// on each member's own real batch before the hysteresis judgement: a
-/// candidate that doesn't genuinely beat the member's incumbent is
-/// vetoed exactly as a marginal fresh solve would be. Tenants whose
-/// exact [`SolveInputs`] also match (clones) adopt byte-identically:
-/// their item multisets match, so the transfer degenerates to the
-/// identity permutation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClassInputs {
-    /// Sorted per-job class items: `(drift_key, init tier index, init
-    /// overprov bits)`.
-    items: Vec<(u64, usize, u64)>,
-    /// App profiles (shared across a fleet built from one profile set).
-    profiles: ProfileSet,
-    /// Whether the solve warm-starts or runs cold.
-    warm: bool,
-}
-
 /// A batch that has been assembled and admitted but whose annealer solve
 /// has not run yet. Produced by [`TenantSession::begin_epoch`]; consumed
 /// by [`TenantSession::solve_pending`] + [`TenantSession::finish_epoch`].
@@ -173,9 +140,6 @@ pub struct PendingPlan {
     init: TieringPlan,
     inputs: SolveInputs,
     signature: u64,
-    class_inputs: ClassInputs,
-    class_set_signature: u64,
-    class_order: Vec<u32>,
     seed: u64,
 }
 
@@ -196,50 +160,6 @@ impl PendingPlan {
     /// The canonical solve content backing the signature.
     pub fn inputs(&self) -> &SolveInputs {
         &self.inputs
-    }
-
-    /// 64-bit digest of the *set* of distinct quantized class items
-    /// (plus the config seed and warm flag). Equal set signatures are a
-    /// grouping hint for *approximate* cross-tenant dedup; callers must
-    /// confirm with [`PendingPlan::class_set_matches`].
-    pub fn class_set_signature(&self) -> u64 {
-        self.class_set_signature
-    }
-
-    /// The quantized equivalence-class content backing the class-set
-    /// signature.
-    pub fn class_inputs(&self) -> &ClassInputs {
-        &self.class_inputs
-    }
-
-    /// Whether `other` covers the same set of distinct class items —
-    /// the full (collision-free) class-dedup grouping predicate. Both
-    /// item lists are sorted, so this is one linear walk that collapses
-    /// duplicates on the fly.
-    pub fn class_set_matches(&self, other: &PendingPlan) -> bool {
-        let (a, b) = (&self.class_inputs, &other.class_inputs);
-        if a.warm != b.warm || a.profiles != b.profiles {
-            return false;
-        }
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < a.items.len() && j < b.items.len() {
-            if a.items[i] != b.items[j] {
-                return false;
-            }
-            let cur = a.items[i];
-            while i < a.items.len() && a.items[i] == cur {
-                i += 1;
-            }
-            while j < b.items.len() && b.items[j] == cur {
-                j += 1;
-            }
-        }
-        i == a.items.len() && j == b.items.len()
-    }
-
-    /// Jobs in the planning spec (forecast clones included).
-    pub fn planning_jobs(&self) -> usize {
-        self.pspec.jobs.len()
     }
 }
 
@@ -490,8 +410,6 @@ impl<'a> TenantSession<'a> {
         let init = ingest_plan(&pspec, &self.ingest_map);
         let inputs = canonical_inputs(&pspec, &init, self.solved_once)?;
         let signature = solve_signature(self.cfg.seed, &pspec, &inputs);
-        let (class_inputs, class_order) = class_quantized_inputs(&pspec, &inputs);
-        let class_set_signature = class_set_signature(self.cfg.seed, &class_inputs);
         let seed = splitmix64(signature ^ SOLVE_SEED_SALT);
         let pending = PendingPlan {
             epoch: k,
@@ -505,9 +423,6 @@ impl<'a> TenantSession<'a> {
             init,
             inputs,
             signature,
-            class_inputs,
-            class_set_signature,
-            class_order,
             seed,
         };
 
@@ -1083,105 +998,6 @@ fn canonical_inputs(
         init: init_pos,
         warm,
     })
-}
-
-/// Collapse canonical [`SolveInputs`] to their quantized
-/// [`ClassInputs`] plus the class-sort permutation: each job's exact
-/// `(app, bytes, maps, reduces)` key becomes its coarse drift bucket,
-/// paired with its init assignment; items are sorted (position as the
-/// final tie-break, so equal
-/// positional sequences sort through the identity-inducing
-/// permutation) and the pre-sort positions are returned alongside.
-fn class_quantized_inputs(pspec: &WorkloadSpec, inputs: &SolveInputs) -> (ClassInputs, Vec<u32>) {
-    let mut tagged: Vec<((u64, usize, u64), u32)> = pspec
-        .jobs
-        .iter()
-        .zip(&inputs.init)
-        .enumerate()
-        .map(|(pos, (job, a))| {
-            (
-                (job.drift_key(), a.tier.index(), a.overprov.to_bits()),
-                pos as u32,
-            )
-        })
-        .collect();
-    tagged.sort_unstable();
-    let (items, order): (Vec<_>, Vec<_>) = tagged.into_iter().unzip();
-    (
-        ClassInputs {
-            items,
-            profiles: inputs.profiles.clone(),
-            warm: inputs.warm,
-        },
-        order,
-    )
-}
-
-/// Digest the *set* of distinct quantized class items (and the config
-/// seed) into the approximate-dedup grouping signature. Items are
-/// sorted, so duplicates collapse in one pass.
-fn class_set_signature(cfg_seed: u64, class: &ClassInputs) -> u64 {
-    let mut h = splitmix64(cfg_seed ^ 0xC1A5_DEDA);
-    let mut last = None;
-    for &item in &class.items {
-        if last == Some(item) {
-            continue;
-        }
-        last = Some(item);
-        let (k, tier, overprov) = item;
-        h = splitmix64(h ^ k);
-        h = splitmix64(h ^ tier as u64);
-        h = splitmix64(h ^ overprov);
-    }
-    splitmix64(h ^ class.warm as u64)
-}
-
-/// Carry a representative's winning assignment to a class-equivalent
-/// member (caller must have verified [`PendingPlan::class_set_matches`]).
-/// When the two item *multisets* coincide (equal job counts per class —
-/// clones included), jobs map through the sort permutations, a
-/// bijection that degenerates to the identity for true clones. When
-/// only the *sets* coincide, each member job adopts the assignment of
-/// the representative's first (class-sorted) job of the same item —
-/// deterministic, and guaranteed present by the set match.
-pub fn transfer_class_product(
-    rep: &PendingPlan,
-    product: &SolveProduct,
-    member: &PendingPlan,
-) -> SolveProduct {
-    let mi = &member.class_inputs.items;
-    let ri = &rep.class_inputs.items;
-    let mut assignments = vec![
-        Assignment {
-            tier: INGEST_FALLBACK,
-            overprov: 1.0,
-        };
-        mi.len()
-    ];
-    if member.class_inputs == rep.class_inputs {
-        for (m, r) in member.class_order.iter().zip(&rep.class_order) {
-            assignments[*m as usize] = product.assignments[*r as usize];
-        }
-    } else {
-        // Both item lists are sorted: advance the rep cursor to the
-        // first occurrence of each member item.
-        let mut j = 0usize;
-        for (k, item) in mi.iter().enumerate() {
-            while j < ri.len() && ri[j] < *item {
-                j += 1;
-            }
-            debug_assert!(
-                j < ri.len() && ri[j] == *item,
-                "class-set match guarantees every member item exists in the rep"
-            );
-            assignments[member.class_order[k] as usize] =
-                product.assignments[rep.class_order[j] as usize];
-        }
-    }
-    SolveProduct {
-        assignments,
-        replan_moves: product.replan_moves,
-    }
 }
 
 /// Digest the solve inputs (and the config seed) into the grouping
