@@ -289,10 +289,27 @@ fn run_online_drift() -> Section {
          vetoes marginal adoptions ({hyst_adopt} vs {periodic_adopt}) without\n\
          ever migrating more bytes than naive replanning ({hysteresis_mb:.0}\n\
          vs {periodic_mb:.0} MB) while keeping most of the cost advantage over\n\
-         static. The full-size\n\
+         static. The migration headline is `<=`, not `<`: with content-derived\n\
+         solve seeds an un-drifted epoch re-solves to the *identical* plan, so\n\
+         periodic replanning does not churn on anneal noise — on the full-size\n\
+         stream both policies migrate the same volume and hysteresis shows up\n\
+         purely as vetoed (zero-delta) adoptions. The full-size\n\
          run (`cargo run --release -p cast-bench --bin online_drift`) serves a\n\
          4-hour stream; this section uses the CI-sized `--smoke` configuration.\n",
         (periodic_cost / static_cost - 1.0) * 100.0,
+    );
+    let _ = writeln!(
+        md,
+        "Fork-backed replanning: with `RuntimeConfig::scoring` set to\n\
+         `ForkLive`, each replan point additionally scores a candidate slate\n\
+         (the committed plan plus per-tier redirects of still-waiting jobs)\n\
+         against the live mid-epoch simulation — one snapshot, forked once per\n\
+         candidate — and commits the winner (`EpochReport::whatif_winner`).\n\
+         Fork equivalence makes that the decision cold re-simulation of every\n\
+         candidate would commit: `tests/properties.rs` checks forked runs\n\
+         bit-match fresh ones, and `runtime_epoch` asserts cold and forked\n\
+         slates are byte-identical on every run (see \"Replan latency\" below\n\
+         for the latency side).\n"
     );
     Section {
         md,
@@ -331,71 +348,234 @@ fn run_durability_sweep() -> Section {
     }
 }
 
-/// Render the engine scale grid from the committed `sim_scale` baseline.
-/// The grid itself is regenerated by `cargo run --release -p cast-bench
-/// --bin sim_scale -- --out results/BENCH_sim.json` (minutes of reference
-/// runs), so this section reads the committed JSON instead of re-running.
-fn run_sim_scale_section() -> Section {
-    let mut md = String::from("## Engine scale grid (`sim_scale`)\n\n");
-    match fs::read_to_string("results/BENCH_sim.json")
+/// A numeric field of a committed BENCH report (NaN when absent).
+fn num(v: &serde_json::Value) -> f64 {
+    v.as_f64().unwrap_or(f64::NAN)
+}
+
+/// A section re-rendered from a committed perf-bin baseline rather than
+/// re-measured: the bins take minutes in full mode and measure wall time,
+/// which a concurrent regeneration would distort. `render` draws the
+/// code block from the parsed report; `prose` follows it.
+fn bench_section(
+    title: &str,
+    file: &str,
+    render: impl FnOnce(&serde_json::Value) -> String,
+    prose: &str,
+) -> Section {
+    let mut md = format!("## {title}\n\n");
+    let path = format!("results/{file}");
+    match fs::read_to_string(&path)
         .ok()
         .and_then(|s| serde_json::from_str::<serde_json::Value>(&s).ok())
     {
         Some(report) => {
-            let _ = writeln!(
-                md,
-                "```\n{:<7}{:<7}{:<10}{:<11}vs reference",
-                "nvm", "jobs", "steps", "events/s"
-            );
-            let empty = Vec::new();
-            for sc in report["scenarios"].as_array().unwrap_or(&empty) {
-                let ev = sc["events_per_sec"].as_f64().unwrap_or(0.0);
-                let speedup = sc["speedup"]
-                    .as_f64()
-                    .map_or("-".to_string(), |s| format!("{s:.1}x"));
-                let _ = writeln!(
-                    md,
-                    "{:<7}{:<7}{:<10}{:<11}{speedup}",
-                    format!("{}", sc["nvm"].as_f64().unwrap_or(0.0) as u64),
-                    format!("{}", sc["jobs"].as_f64().unwrap_or(0.0) as u64),
-                    format!("{}", sc["steps"].as_f64().unwrap_or(0.0) as u64),
-                    format!("{:.2}M", ev / 1e6),
-                );
-            }
-            let par = &report["parallel"];
-            if let Some(ev) = par["events_per_sec"].as_f64() {
-                let _ = writeln!(
-                    md,
-                    "parallel: {} runs x ({} VM, {} jobs) = {:.2}M events/s aggregate",
-                    par["runs"].as_f64().unwrap_or(0.0) as u64,
-                    par["nvm"].as_f64().unwrap_or(0.0) as u64,
-                    par["jobs"].as_f64().unwrap_or(0.0) as u64,
-                    ev / 1e6,
-                );
-            }
-            md.push_str("```\n\n");
+            let _ = writeln!(md, "```\n{}```\n", render(&report));
         }
-        None => md.push_str("(no committed `results/BENCH_sim.json` baseline)\n\n"),
+        None => {
+            let _ = writeln!(md, "(no committed `{path}` baseline)\n");
+        }
     }
-    let _ = writeln!(
-        md,
+    let _ = writeln!(md, "{prose}");
+    Section { md, json: vec![] }
+}
+
+fn run_sim_scale_section() -> Section {
+    let render = |report: &serde_json::Value| {
+        let mut out = format!("{:<7}{:<7}{:<10}events/s\n", "nvm", "jobs", "steps");
+        let empty = Vec::new();
+        for sc in report["scenarios"].as_array().unwrap_or(&empty) {
+            let _ = writeln!(
+                out,
+                "{:<7}{:<7}{:<10}{:.2}M",
+                num(&sc["nvm"]),
+                num(&sc["jobs"]),
+                num(&sc["steps"]),
+                num(&sc["events_per_sec"]) / 1e6,
+            );
+        }
+        let par = &report["parallel"];
+        let _ = writeln!(
+            out,
+            "parallel: {} runs x ({} VM, {} jobs) = {:.2}M events/s aggregate",
+            num(&par["runs"]),
+            num(&par["nvm"]),
+            num(&par["jobs"]),
+            num(&par["events_per_sec"]) / 1e6,
+        );
+        out
+    };
+    bench_section(
+        "Engine scale grid (`sim_scale`)",
+        "BENCH_sim.json",
+        render,
         "Beyond the paper: throughput of the engine itself across cluster\n\
          size and backlog depth (committed baseline `results/BENCH_sim.json`,\n\
          regenerated by `sim_scale --out`; numbers above are re-rendered from\n\
          that file, not re-measured). Per-event cost is flat from 25 to\n\
          10 000 VMs and from 100 to 4 000 jobs — the dirty-set/indexed-heap\n\
          design keeps per-event work bounded by *affected* flows, not by\n\
-         cluster or backlog size. The reference stepper is only timed up to\n\
-         100 VMs / 400 jobs (above that a single comparison run takes\n\
-         minutes); its column widens with scale exactly as O(E·N) predicts.\n\
-         The parallel row is the aggregate over concurrent independent runs\n\
-         on the worker pool: on one core it matches single-run throughput,\n\
-         on an 8-core machine it is the 10 M events/s headline path.\n\
-         `--smoke` runs the 25-VM and 4 000-job scenarios plus a small\n\
-         parallel batch; CI gates events/s against the committed baseline\n\
-         with 25 % tolerance.\n"
-    );
-    Section { md, json: vec![] }
+         cluster or backlog size. The parallel row is the aggregate over\n\
+         concurrent independent runs on the worker pool: on one core it\n\
+         matches single-run throughput, on an 8-core machine it is the\n\
+         10 M events/s headline path. `--smoke` runs the 25-VM and 4 000-job\n\
+         scenarios plus a small parallel batch; CI gates events/s against\n\
+         the committed baseline with 25 % tolerance, and each scenario's\n\
+         step and scratch-realloc counters exactly.\n",
+    )
+}
+
+fn run_runtime_epoch_section() -> Section {
+    let render = |report: &serde_json::Value| {
+        let (solver, whatif, incr) = (&report["solver"], &report["whatif"], &report["incremental"]);
+        let ms = |v: &serde_json::Value| num(v) * 1e3;
+        let pad = " ".repeat(22);
+        format!(
+            "solver ({} iters):  cold solve p50 {:.2}ms   warm resume p50 {:.2}ms\n\
+             {pad}cold {} moves to converged quality, warm {}\n\
+             whatif ({} candidates, {} workers, fork at {} of makespan):\n\
+             {pad}cold restarts p50 {:.2}ms   fork-backed p50 {:.2}ms\n\
+             {pad}= {:.1}x speedup, ~{:.0}k candidate forks/s\n\
+             incremental ({} jobs, {} iters):\n\
+             {pad}full scoring p50 {:.0}ms   incremental p50 {:.0}ms\n\
+             {pad}= {:.1}x speedup\n",
+            num(&solver["iterations"]),
+            ms(&solver["cold_p50_secs"]),
+            ms(&solver["warm_p50_secs"]),
+            num(&solver["cold_moves"]),
+            num(&solver["warm_moves"]),
+            num(&whatif["candidates"]),
+            num(&whatif["workers"]),
+            num(&whatif["fork_fraction"]),
+            ms(&whatif["cold_p50_secs"]),
+            ms(&whatif["fork_p50_secs"]),
+            num(&whatif["speedup"]),
+            num(&whatif["forks_per_sec"]) / 1e3,
+            num(&incr["jobs"]),
+            num(&incr["iterations"]),
+            ms(&incr["full_p50_secs"]),
+            ms(&incr["incremental_p50_secs"]),
+            num(&incr["speedup"]),
+        )
+    };
+    bench_section(
+        "Replan latency (`runtime_epoch`)",
+        "BENCH_runtime.json",
+        render,
+        "Beyond the paper: the costs of one epoch's replan step (committed\n\
+         baseline `results/BENCH_runtime.json`, regenerated by\n\
+         `runtime_epoch --out`; numbers above are re-rendered from that\n\
+         file). The solver row pins the warm-start claim — resuming from the\n\
+         incumbent reaches the cold chain's converged quality in far fewer\n\
+         moves. The what-if rows time candidate scoring at a late-epoch\n\
+         replan point: cold restarts re-simulate the shared 90 % prefix once\n\
+         per candidate, while fork-backed scoring snapshots the live engine\n\
+         once and forks only the tails. The incremental rows time a\n\
+         default-budget solve of the 100-job Facebook workload scored through\n\
+         the incremental ledger + `REG` memo against a full `evaluate()` per\n\
+         neighbour. The bin asserts both speedups are at least 3× and that\n\
+         cold and fork-backed slates are byte-identical on every run.\n\
+         `--smoke` cuts repetitions; CI gates forks/s against the committed\n\
+         baseline with 25 % tolerance, and the move counts and what-if\n\
+         winner exactly.\n",
+    )
+}
+
+fn run_tenant_scale_section() -> Section {
+    let pad = " ".repeat(12);
+    let fleet = |label: &str, s: &serde_json::Value| {
+        format!(
+            "{label:<12}{} tenants x {} shards x {} epochs, {} workers\n\
+             {pad}{:.0} tenants/s, total wall {:.2}s (plan {:.2}s / admit {:.3}s / exec {:.2}s)\n\
+             {pad}{} fresh solves + {} dedup fan-outs + {} replans skipped\n\
+             {pad}({} planning templates), replan p50 {:.2}ms  p99 {:.2}ms\n\
+             {pad}{} jobs, {} deadline misses, {} deferrals, {} rejections\n",
+            num(&s["tenants"]),
+            num(&s["shards"]),
+            num(&s["epochs"]),
+            num(&s["workers"]),
+            num(&s["tenants_per_sec"]),
+            num(&s["total_wall_secs"]),
+            num(&s["plan_wall_secs"]),
+            num(&s["admit_wall_secs"]),
+            num(&s["exec_wall_secs"]),
+            num(&s["solves"]),
+            num(&s["dedup_fanouts"]),
+            num(&s["replans_skipped"]),
+            num(&s["planning_templates"]),
+            num(&s["replan_p50_secs"]) * 1e3,
+            num(&s["replan_p99_secs"]) * 1e3,
+            num(&s["jobs_completed"]),
+            num(&s["deadline_misses"]),
+            num(&s["deferrals"]),
+            num(&s["rejected"]),
+        )
+    };
+    let render = |report: &serde_json::Value| {
+        let mut out = String::new();
+        for (label, key) in [
+            ("smoke ref:", "smoke"),
+            ("throughput:", "fleet"),
+            ("scale-out:", "xl"),
+        ] {
+            if report[key] != serde_json::Value::Null {
+                out.push_str(&fleet(label, &report[key]));
+            }
+        }
+        let (identity, fairness) = (&report["identity"], &report["fairness"]);
+        let workers: Vec<String> = identity["workers_checked"]
+            .as_array()
+            .map(|w| w.iter().map(|n| num(n).to_string()).collect())
+            .unwrap_or_default();
+        let _ = writeln!(
+            out,
+            "identity:   {} tenants, workers {{{}}} -> byte-identical: {}",
+            num(&identity["tenants"]),
+            workers.join(", "),
+            identity["byte_identical"] == true,
+        );
+        let _ = writeln!(
+            out,
+            "fairness:   {} tenants, {} contended tenant-epochs; {} fully-admitted\n\
+             {pad}Interactive tenants checked against solo -> {} violations",
+            num(&fairness["tenants"]),
+            num(&fairness["contended_epochs"]),
+            num(&fairness["interactive_checked"]),
+            num(&fairness["violations"]),
+        );
+        out
+    };
+    bench_section(
+        "Tenant scale (`tenant_scale`)",
+        "BENCH_tenants.json",
+        render,
+        "Beyond the paper: fleet-level serving throughput of `cast-fleet`\n\
+         (committed baseline `results/BENCH_tenants.json`, regenerated by\n\
+         `tenant_scale --out`; numbers above are re-rendered from that file).\n\
+         The throughput run serves 1024 concurrent tenants — each with its own\n\
+         goal, deadline, drift profile and warm-started solver chain — through\n\
+         the four-phase fleet epoch loop on an uncontended capacity pool, so\n\
+         tenants/s measures the control-plane cost (plan + admit + settle +\n\
+         execute), not admission backpressure. It runs what callers run: exact\n\
+         cross-tenant solve dedup plus the drift-gated replan skip (see\n\
+         DESIGN.md *Fleet planning throughput*). Exact grouping merges only\n\
+         tenants whose canonical solve inputs are equal, so most tenant-epochs\n\
+         still solve; the full run asserts dedup fan-outs and skips are\n\
+         non-zero so neither path can silently rot. The identity pin\n\
+         re-serves one fleet at 1/2/8 workers and asserts the merged report\n\
+         is byte-identical; the fairness pin shrinks the pool until shards\n\
+         saturate and then replays every fully-admitted Interactive tenant\n\
+         solo, asserting contention never costs a guaranteed tenant a\n\
+         deadline it would have met alone.\n\n\
+         The smoke reference is a 192-tenant fleet with the same per-tenant\n\
+         work as the 1024-tenant run, served first in full mode because the\n\
+         first fleet a process serves runs cold, as a `--smoke` run's does;\n\
+         the CI smoke gate compares against it. Its wall time is a 0.1 s\n\
+         run on a shared 2-vCPU VM and is at the mercy of the host's slow\n\
+         spells, so the gate also checks the deterministic tallies — solves,\n\
+         fan-outs, skips, jobs and deadline misses — exactly: those catch a\n\
+         behavioural change on every run, whatever the machine is doing.\n",
+    )
 }
 
 fn main() {
@@ -416,19 +596,18 @@ fn main() {
          oracle, see DESIGN.md \"Solver performance\") and the experiments\n\
          themselves run concurrently on scoped threads, so a full regeneration\n\
          takes roughly the wall-clock of its slowest figure instead of the sum\n\
-         of all of them. `cargo bench --bench solver_eval` prints the measured\n\
-         full-vs-incremental solve-loop speedup.\n\n\
+         of all of them. The measured full-vs-incremental solve-loop speedup\n\
+         is `runtime_epoch`'s `incremental` section (\"Replan latency\" below).\n\n\
          Simulator engine: every experiment drives the event-driven\n\
          `cast_sim::engine::Engine` (incremental share rates + completion heap;\n\
          see DESIGN.md \"Engine performance\"). The pre-overhaul stepper is kept\n\
          compiled behind the default-on `reference-engine` feature purely as an\n\
          equivalence oracle — `cargo test -p cast-sim --test engine_equivalence`\n\
          checks the two agree within 1e-6 relative across randomized fault\n\
-         scenarios, and `cargo run --release -p cast-bench --bin sim_scale`\n\
-         measures the throughput gap (committed baseline:\n\
-         `results/BENCH_sim.json`; CI gates on a >25 % regression). Disabling\n\
-         the feature (`--no-default-features` on cast-sim) drops the oracle from\n\
-         the build; results are unaffected.\n\n\
+         scenarios. `cargo run --release -p cast-bench --bin sim_scale`\n\
+         measures the engine's throughput (\"Engine scale grid\" below).\n\
+         Disabling the feature (`--no-default-features` on cast-sim) drops the\n\
+         oracle from the build; results are unaffected.\n\n\
          Observability: pass `--trace-out [STEM]` (also understood by the\n\
          `fault_sweep` binary) to record every solver and simulator run into\n\
          `results/STEM.trace.ndjson` — one JSON event per line: job / phase /\n\
@@ -475,6 +654,14 @@ fn main() {
         (
             "sim_scale (re-rendered from baseline)",
             Box::new(run_sim_scale_section),
+        ),
+        (
+            "runtime_epoch (re-rendered from baseline)",
+            Box::new(run_runtime_epoch_section),
+        ),
+        (
+            "tenant_scale (re-rendered from baseline)",
+            Box::new(run_tenant_scale_section),
         ),
     ];
 

@@ -18,20 +18,23 @@
 //!    byte-identical, which the bin asserts, so the speedup is free of
 //!    semantic drift; the acceptance bar is ≥ 3× at 8 candidates.
 //!
+//! A third section times what makes the annealer fast enough to replan
+//! at all: a full 12k-iteration solve of the 100-job Facebook workload
+//! scored through [`cast_solver::IncrementalEval`] (`Annealer::solve`)
+//! versus through a full [`cast_solver::evaluate`] per neighbour
+//! (`Annealer::solve_with`). The bin asserts the incremental path is
+//! ≥ 3× faster.
+//!
 //! Results land in `BENCH_runtime.json` (replan latency p50/p99 for
-//! every arm, forks/s, speedup) with the same `--check` gate shape as
-//! `sim_scale` / `BENCH_sim.json`:
+//! every arm, forks/s, speedups), gated by [`cast_bench::gate`]:
 //!
 //! ```text
 //! runtime_epoch [--smoke] [--out PATH] [--check BASELINE] [--tolerance 0.25]
 //! ```
 //!
-//! * `--smoke` cuts the timed repetitions (CI-friendly).
-//! * `--out` writes the JSON report to a file (default: stdout only).
-//! * `--check` loads a baseline JSON and fails (exit 1) if `forks_per_sec`
-//!   regressed by more than the tolerance (default 25%). The baseline is
-//!   parsed generically so reports from older or newer versions of this
-//!   bin still check.
+//! `--smoke` cuts the timed repetitions. `--check` gates `forks_per_sec`
+//! within the tolerance and the deterministic `solver.warm_moves`,
+//! `solver.cold_moves` and `whatif.winner` exactly.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -43,10 +46,12 @@ use cast_sim::config::SimConfig;
 use cast_sim::engine::Engine;
 use cast_sim::placement::JobPlacement;
 use cast_sim::{pick_winner, prepare_runs, score_cold, score_forked, CandidateOverride};
-use cast_solver::{AnnealConfig, Annealer, EvalContext, TieringPlan, WarmStart};
+use cast_solver::neighbor::NeighborGen;
+use cast_solver::{evaluate, AnnealConfig, Annealer, EvalContext, TieringPlan, WarmStart};
 use cast_workload::arrival::{assemble_spec, generate, ArrivalConfig, ArrivalProcess};
-use cast_workload::{AppKind, DriftConfig, WorkloadSpec};
+use cast_workload::{synth, AppKind, DriftConfig, WorkloadSpec};
 
+use cast_bench::gate::{self, Check, Kind};
 use cast_runtime::{ingest_plan, majority_tiers};
 
 const STREAM_SEED: u64 = 0xCA57_D21F;
@@ -147,6 +152,7 @@ struct Report {
     mode: String,
     solver: SolverSection,
     whatif: WhatifSection,
+    incremental: IncrementalSection,
 }
 
 /// Cold-solve vs warm-resume replan latency, plus the warm-start quality
@@ -178,6 +184,19 @@ struct WhatifSection {
     /// Candidate forks scored per second of fork-arm wall time.
     forks_per_sec: f64,
     /// cold p50 / fork p50 — the acceptance bar is ≥ 3× at 8 candidates.
+    speedup: f64,
+}
+
+/// Full-oracle vs incremental scoring over one whole annealing solve.
+#[derive(serde::Serialize)]
+struct IncrementalSection {
+    jobs: usize,
+    iterations: usize,
+    /// `Annealer::solve_with` scoring every neighbour via `evaluate`.
+    full_p50_secs: f64,
+    /// `Annealer::solve` over the incremental ledger + memo.
+    incremental_p50_secs: f64,
+    /// full p50 / incremental p50 — asserted ≥ 3×.
     speedup: f64,
 }
 
@@ -328,65 +347,86 @@ fn bench_whatif(e: &Epochs, reps: usize) -> WhatifSection {
     }
 }
 
-/// Compare `current` against a committed baseline on `forks_per_sec`.
-/// Generic JSON parse for the same reason as `sim_scale`: the vendored
-/// serde shim hard-errors on missing fields, and baselines outlive the
-/// report schema.
-fn check(current: &Report, baseline_path: &str, tolerance: f64) -> Result<(), String> {
-    let raw = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    let baseline: serde_json::Value =
-        serde_json::from_str(&raw).map_err(|e| format!("bad baseline JSON: {e}"))?;
-    let Some(base_fps) = baseline["whatif"]["forks_per_sec"].as_f64() else {
-        eprintln!("baseline {baseline_path} has no whatif.forks_per_sec; nothing to check");
-        return Ok(());
-    };
-    let floor = base_fps * (1.0 - tolerance);
-    let fps = current.whatif.forks_per_sec;
-    let verdict = if fps < floor { "REGRESSED" } else { "ok" };
-    eprintln!(
-        "check forks_per_sec: {fps:.0} vs baseline {base_fps:.0} (floor {floor:.0}) {verdict}"
-    );
-    if fps < floor {
-        return Err(format!(
-            "forks_per_sec {fps:.0} < {floor:.0} ({}% below baseline {base_fps:.0})",
-            (100.0 * (1.0 - fps / base_fps)).round(),
-        ));
+/// Time a default-budget solve of the 100-job Facebook workload on both
+/// scoring substrates.
+fn bench_incremental(reps: usize) -> IncrementalSection {
+    let spec = synth::facebook_workload(Default::default()).expect("synthesis");
+    let estimator = cast_bench::paper_estimator();
+    let ctx = EvalContext::new(&estimator, &spec);
+    let init = TieringPlan::uniform(&spec, Tier::PersSsd);
+    let gen = NeighborGen::new(spec.jobs.iter().map(|j| j.id).collect(), Vec::new());
+    let annealer = Annealer::new(AnnealConfig::default());
+
+    let mut full_lat = Vec::with_capacity(reps);
+    let mut incr_lat = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        annealer
+            .solve_with(
+                init.clone(),
+                &gen,
+                |p| evaluate(p, &ctx).map(|e| e.utility),
+                None,
+            )
+            .expect("full-scoring solve");
+        full_lat.push(t0.elapsed().as_secs_f64());
+
+        let t0 = Instant::now();
+        annealer
+            .solve(&ctx, init.clone())
+            .expect("incremental solve");
+        incr_lat.push(t0.elapsed().as_secs_f64());
     }
-    Ok(())
+    let full_p50 = percentile(&full_lat, 0.50);
+    let incremental_p50 = percentile(&incr_lat, 0.50);
+    IncrementalSection {
+        jobs: spec.jobs.len(),
+        iterations: AnnealConfig::default().iterations,
+        full_p50_secs: full_p50,
+        incremental_p50_secs: incremental_p50,
+        speedup: full_p50 / incremental_p50,
+    }
+}
+
+/// Fork throughput within the tolerance; the deterministic move counts
+/// and what-if winner exactly.
+fn checks(report: &Report, baseline: &serde_json::Value) -> Vec<Check> {
+    let (solver, whatif) = (&baseline["solver"], &baseline["whatif"]);
+    vec![
+        Check::new(
+            "whatif.forks_per_sec",
+            report.whatif.forks_per_sec,
+            &whatif["forks_per_sec"],
+            Kind::AtLeast,
+        ),
+        Check::new(
+            "solver.warm_moves",
+            report.solver.warm_moves as f64,
+            &solver["warm_moves"],
+            Kind::Exact,
+        ),
+        Check::new(
+            "solver.cold_moves",
+            report.solver.cold_moves as f64,
+            &solver["cold_moves"],
+            Kind::Exact,
+        ),
+        Check::new(
+            "whatif.winner",
+            report.whatif.winner as f64,
+            &whatif["winner"],
+            Kind::Exact,
+        ),
+    ]
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut tolerance = 0.25;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(args.next().expect("--out PATH")),
-            "--check" => baseline = Some(args.next().expect("--check BASELINE")),
-            "--tolerance" => {
-                tolerance = args
-                    .next()
-                    .expect("--tolerance FRACTION")
-                    .parse()
-                    .expect("tolerance is a fraction")
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                eprintln!(
-                    "usage: runtime_epoch [--smoke] [--out PATH] [--check BASELINE] [--tolerance 0.25]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
+    let args = gate::Args::from_env("runtime_epoch");
+    let smoke = args.smoke;
     let reps = if smoke { 10 } else { 30 };
     let e = setup();
-    let solver = bench_solver(&e, reps.min(10));
+    let solver_reps = reps.min(10);
+    let solver = bench_solver(&e, solver_reps);
     eprintln!(
         "runtime_epoch solver: cold p50 {:.4}s vs warm p50 {:.4}s",
         solver.cold_p50_secs, solver.warm_p50_secs
@@ -410,22 +450,28 @@ fn main() {
         whatif.speedup
     );
 
+    let incremental = bench_incremental(solver_reps);
+    eprintln!(
+        "runtime_epoch incremental ({} jobs, {} iters): full p50 {:.4}s vs incremental p50 \
+         {:.4}s = {:.1}x",
+        incremental.jobs,
+        incremental.iterations,
+        incremental.full_p50_secs,
+        incremental.incremental_p50_secs,
+        incremental.speedup
+    );
+    assert!(
+        incremental.speedup >= 3.0,
+        "incremental scoring must solve >= 3x faster than full scoring (got {:.2}x)",
+        incremental.speedup
+    );
+
     let report = Report {
         bench: "runtime_epoch".to_string(),
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
+        mode: args.mode().to_string(),
         solver,
         whatif,
+        incremental,
     };
-    let json = serde_json::to_string_pretty(&report).expect("serialize");
-    println!("{json}");
-    if let Some(path) = &out {
-        std::fs::write(path, format!("{json}\n")).expect("write report");
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &baseline {
-        if let Err(msg) = check(&report, path, tolerance) {
-            eprintln!("replan-latency regression:\n{msg}");
-            std::process::exit(1);
-        }
-    }
+    gate::finish(&args, &report, |baseline| checks(&report, baseline));
 }

@@ -1,31 +1,24 @@
 //! `sim_scale` — engine-throughput scaling benchmark.
 //!
 //! Runs the Facebook-derived workload at several cluster/workload scales
-//! through the event-driven engine (and, where affordable, the reference
-//! stepper) and reports steps-per-second throughput as machine-readable
-//! JSON (`BENCH_sim.json`), including the engine's health counters
-//! ([`cast_sim::EngineStats`]). A final section executes independent
-//! repetitions of the largest scenario concurrently on the
+//! through the event-driven engine and reports steps-per-second
+//! throughput as machine-readable JSON (`BENCH_sim.json`), including the
+//! engine's health counters ([`cast_sim::EngineStats`]). A final section
+//! executes independent repetitions of one scenario concurrently on the
 //! [`cast_sim::par`] worker pool and reports the aggregate event rate —
 //! the multi-core figure of merit for fleet-scale sweeps.
 //!
-//! Doubles as a CI regression gate: `--check` compares the measured
-//! throughput against a committed baseline and fails the run on a
-//! slowdown beyond `--tolerance`.
+//! Doubles as a CI regression gate ([`cast_bench::gate`]):
 //!
 //! ```text
 //! sim_scale [--smoke] [--out PATH] [--check BASELINE] [--tolerance 0.25]
 //! ```
 //!
-//! * `--smoke` runs a reduced grid (CI-friendly: the reference-checked
-//!   small scenario plus one 4000-job stress scenario).
-//! * `--out` writes the JSON report to a file (default: stdout only).
-//! * `--check` loads a baseline JSON and fails (exit 1) if any scenario's
-//!   `events_per_sec` regressed by more than the tolerance (default 25%).
-//!   The baseline is parsed generically, so older baselines lacking
-//!   newer fields (and newer baselines carrying extra ones) still check;
-//!   only scenarios present in both reports are compared, so a smoke run
-//!   can be checked against a committed full baseline.
+//! `--smoke` runs a reduced grid (the small 25-VM scenario plus one
+//! 4000-job stress scenario). `--check` gates each scenario present in
+//! both reports: `events_per_sec` within the tolerance, `steps` and
+//! `scratch_reallocs` exactly. The parallel section is not gated — its
+//! scenario differs between smoke and full mode.
 
 use std::time::Instant;
 
@@ -37,16 +30,14 @@ use cast_sim::engine::{Engine, EngineScratch};
 use cast_sim::par;
 use cast_sim::placement::PlacementMap;
 use cast_sim::prepare_runs;
-#[cfg(feature = "reference-engine")]
-use cast_sim::reference::ReferenceEngine;
 use cast_workload::dataset::DatasetId;
 use cast_workload::job::JobId;
 use cast_workload::spec::WorkloadSpec;
 use cast_workload::synth;
 
-/// (nvm, jobs) grid of the full run. The 400-VM-and-up scenarios skip
-/// the reference stepper: its O(events × tasks) inner loop makes them
-/// take minutes for no additional information. The 2000/10000-VM rows
+use cast_bench::gate::{self, Check, Kind};
+
+/// (nvm, jobs) grid of the full run. The 2000/10000-VM rows
 /// size the scratch (slot heaps, share registry) at fleet scale; the
 /// 4000-job row stresses the dispatch and completion-heap paths with a
 /// deep backlog.
@@ -61,13 +52,8 @@ const FULL: &[(usize, usize)] = &[
     (10000, 100),
     (400, 4000),
 ];
-/// CI grid: the reference-checked small scenario plus the 4000-job
-/// stress scenario.
+/// CI grid: the small scenario plus the 4000-job stress scenario.
 const SMOKE: &[(usize, usize)] = &[(25, 100), (400, 4000)];
-
-/// Reference stepper is only timed at or below this VM count.
-#[cfg(feature = "reference-engine")]
-const REFERENCE_NVM_CAP: usize = 100;
 
 /// Timed repetitions per scenario (fastest wins, after one warm-up).
 const REPS: usize = 3;
@@ -94,10 +80,6 @@ struct Scenario {
     steps: u64,
     wall_secs: f64,
     events_per_sec: f64,
-    reference_wall_secs: Option<f64>,
-    reference_events_per_sec: Option<f64>,
-    /// reference wall / engine wall, where both were measured.
-    speedup: Option<f64>,
     // ---- engine health counters (EngineStats of the last rep) ----
     heap_stale_popped: u64,
     wake_entries_allocated: u64,
@@ -181,33 +163,12 @@ fn run_scenario(nvm: usize, jobs: usize) -> Scenario {
         }
     }
 
-    #[allow(unused_mut)]
-    let (mut ref_wall, mut ref_eps): (Option<f64>, Option<f64>) = (None, None);
-    #[cfg(feature = "reference-engine")]
-    if nvm <= REFERENCE_NVM_CAP && jobs <= 400 {
-        let mut ref_best = f64::INFINITY;
-        let mut ref_steps = 0;
-        for _ in 0..REPS {
-            let t0 = Instant::now();
-            let (_, stats) = ReferenceEngine::new(&cfg, runs.clone())
-                .run_with_stats()
-                .expect("simulation");
-            ref_best = ref_best.min(t0.elapsed().as_secs_f64());
-            ref_steps = stats.steps;
-        }
-        ref_wall = Some(ref_best);
-        ref_eps = Some(ref_steps as f64 / ref_best);
-    }
-
     Scenario {
         nvm,
         jobs,
         steps,
         wall_secs: best,
         events_per_sec: steps as f64 / best,
-        reference_wall_secs: ref_wall,
-        reference_events_per_sec: ref_eps,
-        speedup: ref_wall.map(|r| r / best),
         heap_stale_popped: last_stats.heap_stale_popped,
         wake_entries_allocated: last_stats.wake_entries_allocated,
         dirty_drain_batches: last_stats.dirty_drain_batches,
@@ -252,100 +213,53 @@ fn run_parallel(nvm: usize, jobs: usize) -> Parallel {
     }
 }
 
-/// Compare `current` against a committed baseline on `events_per_sec`.
-///
-/// The baseline is parsed as generic JSON rather than deserialized into
-/// [`Report`]: the vendored serde shim hard-errors on missing fields, so
-/// a typed parse would reject every baseline written by an older (or
-/// newer) sim_scale. Scenario entries lacking a numeric `events_per_sec`
-/// (absent or null) are skipped explicitly.
-fn check(current: &Report, baseline_path: &str, tolerance: f64) -> Result<(), String> {
-    let raw = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    let baseline: serde_json::Value =
-        serde_json::from_str(&raw).map_err(|e| format!("bad baseline JSON: {e}"))?;
-    let empty = Vec::new();
+/// Per scenario: the event rate within the tolerance, the step and
+/// scratch-realloc counters exactly. A scenario the baseline lacks
+/// reports its checks as skipped.
+fn checks(report: &Report, baseline: &serde_json::Value) -> Vec<Check> {
+    let (empty, null) = (Vec::new(), serde_json::Value::Null);
     let base_scenarios = baseline["scenarios"].as_array().unwrap_or(&empty);
-    let mut failures = Vec::new();
-    for cur in &current.scenarios {
-        let Some(base_eps) = base_scenarios.iter().find_map(|b| {
-            (b["nvm"] == cur.nvm && b["jobs"] == cur.jobs)
-                .then(|| b["events_per_sec"].as_f64())
-                .flatten()
-        }) else {
-            // Scenario absent from the baseline (or recorded without a
-            // numeric rate): nothing to regress against.
-            continue;
-        };
-        let floor = base_eps * (1.0 - tolerance);
-        let verdict = if cur.events_per_sec < floor {
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        eprintln!(
-            "check nvm={} jobs={}: {:.0} events/s vs baseline {:.0} (floor {:.0}) {}",
-            cur.nvm, cur.jobs, cur.events_per_sec, base_eps, floor, verdict
-        );
-        if cur.events_per_sec < floor {
-            failures.push(format!(
-                "nvm={} jobs={}: {:.0} events/s < {:.0} ({}% below baseline {:.0})",
-                cur.nvm,
-                cur.jobs,
+    let mut checks = Vec::new();
+    for cur in &report.scenarios {
+        let base = base_scenarios
+            .iter()
+            .find(|b| b["nvm"] == cur.nvm && b["jobs"] == cur.jobs)
+            .unwrap_or(&null);
+        let label = |field: &str| format!("nvm={} jobs={} {field}", cur.nvm, cur.jobs);
+        checks.extend([
+            Check::new(
+                label("events_per_sec"),
                 cur.events_per_sec,
-                floor,
-                (100.0 * (1.0 - cur.events_per_sec / base_eps)).round(),
-                base_eps,
-            ));
-        }
+                &base["events_per_sec"],
+                Kind::AtLeast,
+            ),
+            Check::new(
+                label("steps"),
+                cur.steps as f64,
+                &base["steps"],
+                Kind::Exact,
+            ),
+            Check::new(
+                label("scratch_reallocs"),
+                cur.scratch_reallocs as f64,
+                &base["scratch_reallocs"],
+                Kind::Exact,
+            ),
+        ]);
     }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("\n"))
-    }
+    checks
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut tolerance = 0.25;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(args.next().expect("--out PATH")),
-            "--check" => baseline = Some(args.next().expect("--check BASELINE")),
-            "--tolerance" => {
-                tolerance = args
-                    .next()
-                    .expect("--tolerance FRACTION")
-                    .parse()
-                    .expect("tolerance is a fraction")
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                eprintln!(
-                    "usage: sim_scale [--smoke] [--out PATH] [--check BASELINE] [--tolerance 0.25]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
+    let args = gate::Args::from_env("sim_scale");
+    let smoke = args.smoke;
     let grid = if smoke { SMOKE } else { FULL };
     let mut scenarios = Vec::new();
     for &(nvm, jobs) in grid {
         let s = run_scenario(nvm, jobs);
         eprintln!(
-            "sim_scale nvm={nvm} jobs={jobs}: {} steps in {:.3}s = {:.0} events/s{}",
-            s.steps,
-            s.wall_secs,
-            s.events_per_sec,
-            s.speedup
-                .map(|x| format!(" ({x:.1}x over reference)"))
-                .unwrap_or_default(),
+            "sim_scale nvm={nvm} jobs={jobs}: {} steps in {:.3}s = {:.0} events/s",
+            s.steps, s.wall_secs, s.events_per_sec,
         );
         scenarios.push(s);
     }
@@ -365,20 +279,9 @@ fn main() {
     );
     let report = Report {
         bench: "sim_scale".to_string(),
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
+        mode: args.mode().to_string(),
         scenarios,
         parallel,
     };
-    let json = serde_json::to_string_pretty(&report).expect("serialize");
-    println!("{json}");
-    if let Some(path) = &out {
-        std::fs::write(path, format!("{json}\n")).expect("write report");
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &baseline {
-        if let Err(msg) = check(&report, path, tolerance) {
-            eprintln!("throughput regression:\n{msg}");
-            std::process::exit(1);
-        }
-    }
+    gate::finish(&args, &report, |baseline| checks(&report, baseline));
 }

@@ -35,17 +35,18 @@
 //!    and dedup are per-session-deterministic, so the solo baseline
 //!    runs the identical fast path).
 //!
+//! Gated by [`cast_bench::gate`]:
+//!
 //! ```text
 //! tenant_scale [--smoke] [--out PATH] [--check BASELINE] [--tolerance 0.25]
 //! ```
 //!
-//! * `--smoke` shrinks the fleet (CI-friendly) and skips the 8192 run.
-//! * `--out` writes the JSON report to a file (default: stdout only).
-//! * `--check` loads a baseline JSON and fails (exit 1) if
-//!   `fleet.tenants_per_sec` regressed below, or `fleet.replan_p50_secs`
-//!   / `fleet.replan_p99_secs` rose above, the baseline by more than the
-//!   tolerance (default 25%). The baseline is parsed generically so
-//!   reports from older or newer versions of this bin still check.
+//! `--smoke` shrinks the fleet (CI-friendly) and skips the 8192 run.
+//! `--check` compares the `fleet` section against the baseline's `smoke`
+//! section on a smoke run (its `fleet` section otherwise): tenants/s and
+//! the replan p50/p99 within the tolerance, and the deterministic
+//! `solves`, `dedup_fanouts`, `replans_skipped`, `jobs_completed` and
+//! `deadline_misses` exactly.
 //!
 //! The fleet runs on `cast_sim::par::default_workers()` threads, and the
 //! worker pool only overlaps replans when the machine has cores to run
@@ -59,6 +60,8 @@ use cast_fleet::{Fleet, FleetConfig, FleetOutcome, TenantRegistry};
 use cast_runtime::{OnlineRuntime, ReplanPolicy, RuntimeConfig, SkipPolicy};
 use cast_solver::AnnealConfig;
 use cast_workload::{tenant_fleet, FleetWorkloadConfig, TenantClass, TenantSpec};
+
+use cast_bench::gate::{self, Check, Kind};
 
 const FLEET_SEED: u64 = 0xCA57_F1EE;
 const SOLVER_SEED: u64 = 0xCA57_0712;
@@ -339,101 +342,29 @@ fn pin_fairness() -> FairnessSection {
     }
 }
 
-/// Compare `current` against a committed baseline: `tenants_per_sec`
-/// may not fall below, and the replan p50/p99 latencies may not rise
-/// above, the baseline by more than `tolerance`. Generic JSON parse:
-/// the vendored serde shim hard-errors on missing fields, and baselines
-/// outlive the report schema.
-fn check(current: &Report, baseline_path: &str, tolerance: f64) -> Result<(), String> {
-    let raw = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    let parsed: serde_json::Value =
-        serde_json::from_str(&raw).map_err(|e| format!("bad baseline JSON: {e}"))?;
-    let mut failures = Vec::new();
-
-    // A smoke run checks against the baseline's smoke-sized reference
-    // section when one exists; older baselines without it fall back to
-    // the full fleet section.
-    let section =
-        if current.mode == "smoke" && parsed["smoke"]["tenants_per_sec"].as_f64().is_some() {
-            "smoke"
-        } else {
-            "fleet"
-        };
-    eprintln!("check: comparing against baseline section `{section}`");
-    let baseline = &parsed[section];
-
-    let Some(base_tps) = baseline["tenants_per_sec"].as_f64() else {
-        eprintln!("baseline {baseline_path} has no {section}.tenants_per_sec; nothing to check");
-        return Ok(());
+/// The fleet's throughput and replan latency within the tolerance; its
+/// plan-cache tallies and job outcomes exactly.
+fn checks(report: &Report, smoke: bool, baseline: &serde_json::Value) -> Vec<Check> {
+    let (section, base) = gate::fleet_section(baseline, smoke);
+    let f = &report.fleet;
+    let check = |field: &str, current: f64, kind| {
+        Check::new(format!("{section}.{field}"), current, &base[field], kind)
     };
-    let floor = base_tps * (1.0 - tolerance);
-    let tps = current.fleet.tenants_per_sec;
-    let verdict = if tps < floor { "REGRESSED" } else { "ok" };
-    eprintln!(
-        "check tenants_per_sec: {tps:.1} vs baseline {base_tps:.1} (floor {floor:.1}) {verdict}"
-    );
-    if tps < floor {
-        failures.push(format!(
-            "tenants_per_sec {tps:.1} < {floor:.1} ({}% below baseline {base_tps:.1})",
-            (100.0 * (1.0 - tps / base_tps)).round(),
-        ));
-    }
-
-    for (name, cur) in [
-        ("replan_p50_secs", current.fleet.replan_p50_secs),
-        ("replan_p99_secs", current.fleet.replan_p99_secs),
-    ] {
-        let Some(base) = baseline[name].as_f64() else {
-            eprintln!("baseline {baseline_path} has no {section}.{name}; skipping");
-            continue;
-        };
-        let ceiling = base * (1.0 + tolerance);
-        let verdict = if cur > ceiling { "REGRESSED" } else { "ok" };
-        eprintln!("check {name}: {cur:.6} vs baseline {base:.6} (ceiling {ceiling:.6}) {verdict}");
-        if cur > ceiling {
-            failures.push(format!(
-                "{name} {cur:.6} > {ceiling:.6} ({}% above baseline {base:.6})",
-                (100.0 * (cur / base - 1.0)).round(),
-            ));
-        }
-    }
-
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("\n"))
-    }
+    vec![
+        check("tenants_per_sec", f.tenants_per_sec, Kind::AtLeast),
+        check("replan_p50_secs", f.replan_p50_secs, Kind::AtMost),
+        check("replan_p99_secs", f.replan_p99_secs, Kind::AtMost),
+        check("solves", f.solves as f64, Kind::Exact),
+        check("dedup_fanouts", f.dedup_fanouts as f64, Kind::Exact),
+        check("replans_skipped", f.replans_skipped as f64, Kind::Exact),
+        check("jobs_completed", f.jobs_completed as f64, Kind::Exact),
+        check("deadline_misses", f.deadline_misses as f64, Kind::Exact),
+    ]
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut tolerance = 0.25;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(args.next().expect("--out PATH")),
-            "--check" => baseline = Some(args.next().expect("--check BASELINE")),
-            "--tolerance" => {
-                tolerance = args
-                    .next()
-                    .expect("--tolerance FRACTION")
-                    .parse()
-                    .expect("tolerance is a fraction")
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                eprintln!(
-                    "usage: tenant_scale [--smoke] [--out PATH] [--check BASELINE] [--tolerance 0.25]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
+    let args = gate::Args::from_env("tenant_scale");
+    let smoke = args.smoke;
     let workers = cast_sim::par::default_workers();
     // Served first, cold, as a `--smoke` run serves its fleet.
     let smoke_ref = if smoke {
@@ -492,23 +423,12 @@ fn main() {
 
     let report = Report {
         bench: "tenant_scale".to_string(),
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
+        mode: args.mode().to_string(),
         fleet,
         xl,
         smoke: smoke_ref,
         identity,
         fairness,
     };
-    let json = serde_json::to_string_pretty(&report).expect("serialize");
-    println!("{json}");
-    if let Some(path) = &out {
-        std::fs::write(path, format!("{json}\n")).expect("write report");
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &baseline {
-        if let Err(msg) = check(&report, path, tolerance) {
-            eprintln!("tenant-throughput regression:\n{msg}");
-            std::process::exit(1);
-        }
-    }
+    gate::finish(&args, &report, |baseline| checks(&report, smoke, baseline));
 }

@@ -118,23 +118,11 @@ pub fn policies() -> Vec<(&'static str, ReplanPolicy, AdmissionPolicy)> {
     ]
 }
 
-/// Serve the stream under one policy (analytic candidate scoring — the
-/// grid's default).
+/// Serve the stream under one policy (analytic candidate scoring).
 pub fn serve(
     cfg: &OnlineDriftConfig,
     policy: ReplanPolicy,
     admission: AdmissionPolicy,
-) -> cast_runtime::OnlineReport {
-    serve_scored(cfg, policy, admission, CandidateScoring::Analytic)
-}
-
-/// Serve the stream under one policy with an explicit candidate-scoring
-/// backend (the simulated what-if replanning modes).
-pub fn serve_scored(
-    cfg: &OnlineDriftConfig,
-    policy: ReplanPolicy,
-    admission: AdmissionPolicy,
-    scoring: CandidateScoring,
 ) -> cast_runtime::OnlineReport {
     let estimator = crate::paper_estimator();
     let anneal = AnnealConfig {
@@ -152,7 +140,7 @@ pub fn serve_scored(
         seed: SOLVER_SEED,
         protocol: cast_runtime::MigrationProtocol::Unsafe,
         migration_fault_prob: 0.0,
-        scoring,
+        scoring: CandidateScoring::Analytic,
         skip: cast_runtime::SkipPolicy::default(),
     };
     OnlineRuntime::new(&estimator, anneal, rt_cfg)
@@ -221,27 +209,6 @@ pub fn run(cfg: &OnlineDriftConfig) -> (TableWriter, serde_json::Value) {
     (table, json)
 }
 
-/// Serve the identical periodic-policy stream under both simulated
-/// scoring backends and return the serialized reports. Byte-equality of
-/// the pair is the fork-equivalence acceptance check: forking the live
-/// mid-epoch engine commits exactly the plan decisions that cold
-/// re-simulation from the epoch boundary would.
-pub fn scoring_equivalence(cfg: &OnlineDriftConfig) -> (String, String) {
-    let run = |scoring| {
-        let report = serve_scored(
-            cfg,
-            ReplanPolicy::Periodic,
-            AdmissionPolicy::AcceptAll,
-            scoring,
-        );
-        serde_json::to_string(&report).expect("report serializes")
-    };
-    (
-        run(CandidateScoring::SimCold),
-        run(CandidateScoring::ForkLive),
-    )
-}
-
 /// The headline comparisons the experiment must reproduce; returns
 /// `(static_cost, periodic_cost, periodic_mb, hysteresis_mb,
 /// periodic_adoptions, hysteresis_adoptions)`.
@@ -283,17 +250,6 @@ pub fn headline(json: &serde_json::Value) -> (f64, f64, f64, f64, usize, usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fork_backed_scoring_matches_cold_restart_bit_for_bit() {
-        let mut cfg = OnlineDriftConfig::smoke();
-        cfg.horizon = Duration::from_hours(1.0);
-        cfg.iterations = 400;
-        let (cold, fork) = scoring_equivalence(&cfg);
-        assert_eq!(cold, fork, "scoring backends must commit identical plans");
-        let report: cast_runtime::OnlineReport = serde_json::from_str(&fork).unwrap();
-        assert!(!report.epochs.is_empty());
-    }
 
     #[test]
     fn smoke_grid_reproduces_the_headlines() {

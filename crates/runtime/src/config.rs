@@ -178,9 +178,9 @@ pub struct RuntimeConfig {
     /// estimator and simulates only the committed plan — the behaviour
     /// the runtime always had. The simulated modes redirect still-waiting
     /// jobs mid-epoch and commit the winning what-if fork's result;
-    /// [`CandidateScoring::ForkLive`] and [`CandidateScoring::SimCold`]
-    /// make identical decisions (fork equivalence), differing only in
-    /// replan latency.
+    /// [`CandidateScoring::ForkLive`] makes the decisions cold
+    /// re-simulation of every candidate would (fork equivalence) at a
+    /// fraction of the replan latency.
     pub scoring: CandidateScoring,
     /// Replan-skip gate (see [`SkipPolicy`]). `serde(default)` keeps old
     /// serialized configs loadable.

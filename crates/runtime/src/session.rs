@@ -192,6 +192,9 @@ struct PlanCache {
 }
 
 /// What [`TenantSession::begin_epoch`] found at a boundary.
+// `Planned` is the common case and callers match it by value; boxing it
+// would cost an allocation per planned tenant-epoch to shrink `Idle`.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum PlanPhase {
     /// Nothing to execute (empty window, or every arrival rejected —
@@ -683,7 +686,7 @@ impl<'a> TenantSession<'a> {
         // plan is only the leading candidate: at the mid-epoch horizon a
         // what-if slate redirects still-waiting jobs, and the winning
         // fork's report *is* the epoch result (fork equivalence makes
-        // sim-cold and fork-live commit identical decisions).
+        // that the decision cold re-simulation would commit).
         let placements = exec.to_placements();
         let mut whatif_winner = 0usize;
         let report = if self.cfg.scoring.simulated() {

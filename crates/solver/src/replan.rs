@@ -1,12 +1,11 @@
 //! Simulation-backed candidate scoring for live replanning.
 //!
 //! The annealer scores plans through the estimator (Eq. 4); this module
-//! scores them by *simulating* them against the batch — either from a
-//! cold restart per candidate or by forking a live mid-stream engine
-//! ([`cast_sim::whatif`]). The two backends are byte-identical by fork
-//! equivalence, so [`CandidateScoring::SimCold`] and
-//! [`CandidateScoring::ForkLive`] commit the same winner; fork-live just
-//! pays for the shared prefix once instead of once per candidate.
+//! scores them by *simulating* them against the batch: the shared prefix
+//! runs once, then a live mid-stream engine is forked per candidate
+//! ([`cast_sim::whatif`]). By fork equivalence this commits exactly the
+//! winner a cold restart per candidate ([`cast_sim::score_cold`]) would,
+//! paying for the prefix once instead of once per candidate.
 //!
 //! The candidate slate here is deliberately simple — the committed plan
 //! plus one uniform redirect per tier — because the what-if question at
@@ -22,7 +21,7 @@ use cast_sim::error::SimError;
 use cast_sim::jobrun::JobRun;
 use cast_sim::metrics::SimReport;
 use cast_sim::placement::JobPlacement;
-use cast_sim::whatif::{pick_winner, score_cold, score_forked, CandidateOverride};
+use cast_sim::whatif::{pick_winner, score_forked, CandidateOverride};
 use cast_workload::spec::WorkloadSpec;
 
 /// How an epoch's candidate plans are scored at the replan point.
@@ -32,14 +31,10 @@ pub enum CandidateScoring {
     /// simulator runs once, on the committed plan.
     #[default]
     Analytic,
-    /// Simulate every candidate from the epoch boundary: one fresh
-    /// engine per candidate re-runs the shared prefix up to the replan
-    /// horizon before redirecting still-waiting jobs.
-    SimCold,
     /// Simulate the shared prefix once, snapshot the live engine at the
     /// replan horizon, and fork one engine per candidate
     /// ([`cast_sim::EngineSnapshot::fork`]). Byte-identical decisions to
-    /// [`CandidateScoring::SimCold`] at a fraction of the work.
+    /// re-simulating every candidate from the epoch boundary.
     ForkLive,
 }
 
@@ -48,7 +43,6 @@ impl CandidateScoring {
     pub fn label(&self) -> &'static str {
         match self {
             CandidateScoring::Analytic => "analytic",
-            CandidateScoring::SimCold => "sim-cold",
             CandidateScoring::ForkLive => "fork-live",
         }
     }
@@ -116,7 +110,6 @@ pub fn score_candidates(
         CandidateScoring::Analytic => {
             panic!("score_candidates needs a simulated scoring mode")
         }
-        CandidateScoring::SimCold => score_cold(cfg, &runs, candidates, horizon, workers)?,
         CandidateScoring::ForkLive => {
             let mut live = Engine::new(cfg, runs);
             live.run_until(horizon)?;
@@ -140,6 +133,7 @@ mod tests {
     use cast_cloud::Catalog;
     use cast_sim::placement::PlacementMap;
     use cast_sim::prepare_runs;
+    use cast_sim::whatif::score_cold;
     use cast_workload::synth;
 
     fn setup() -> (WorkloadSpec, SimConfig, Vec<JobRun>) {
@@ -165,20 +159,13 @@ mod tests {
     fn cold_and_fork_live_commit_the_same_winner() {
         let (spec, cfg, runs) = setup();
         let slate = candidate_slate(&spec, &[Tier::PersHdd, Tier::PersSsd, Tier::EphSsd]);
-        let cold = score_candidates(
-            CandidateScoring::SimCold,
-            &cfg,
-            runs.clone(),
-            &slate,
-            40.0,
-            2,
-        )
-        .unwrap();
+        let cold = score_cold(&cfg, &runs, &slate, 40.0, 2).unwrap();
+        let cold_winner = pick_winner(&cold).unwrap();
         let fork =
             score_candidates(CandidateScoring::ForkLive, &cfg, runs, &slate, 40.0, 2).unwrap();
-        assert_eq!(cold.winner, fork.winner);
+        assert_eq!(cold_winner, fork.winner);
         assert_eq!(
-            serde_json::to_string(&cold.report).unwrap(),
+            serde_json::to_string(&cold[cold_winner]).unwrap(),
             serde_json::to_string(&fork.report).unwrap()
         );
     }
@@ -188,7 +175,6 @@ mod tests {
         assert_eq!(CandidateScoring::default(), CandidateScoring::Analytic);
         assert!(!CandidateScoring::Analytic.simulated());
         assert!(CandidateScoring::ForkLive.simulated());
-        assert_eq!(CandidateScoring::SimCold.label(), "sim-cold");
         assert_eq!(CandidateScoring::ForkLive.label(), "fork-live");
     }
 }

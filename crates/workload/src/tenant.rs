@@ -120,7 +120,7 @@ impl TenantSpec {
     /// dedup cache keys on concrete batch content, not on this.
     pub fn planning_signature(&self) -> u64 {
         let q = |rate: f64| (rate * 16.0).round() as u64;
-        let mut h = splitmix64(self.class.priority() as u64 ^ 0x7E4A_17);
+        let mut h = splitmix64(self.class.priority() as u64 ^ 0x7E_4A17);
         let a = &self.arrivals;
         match a.process {
             ArrivalProcess::Poisson { jobs_per_hour } => {
