@@ -568,13 +568,15 @@ fn run_tenant_scale_section() -> Section {
          solo, asserting contention never costs a guaranteed tenant a\n\
          deadline it would have met alone.\n\n\
          The smoke reference is a 192-tenant fleet with the same per-tenant\n\
-         work as the 1024-tenant run, served first in full mode because the\n\
-         first fleet a process serves runs cold, as a `--smoke` run's does;\n\
-         the CI smoke gate compares against it. Its wall time is a 0.1 s\n\
-         run on a shared 2-vCPU VM and is at the mercy of the host's slow\n\
-         spells, so the gate also checks the deterministic tallies — solves,\n\
+         work as the 1024-tenant run, served first in full mode exactly as a\n\
+         `--smoke` run serves its fleet; the CI smoke gate compares against\n\
+         it. Both gated fleets are served five times, every serve must report\n\
+         byte-identically, and their wall-time fields are per-field medians,\n\
+         so one slow spell of a shared 2-vCPU VM cannot fail a 0.1 s serve's\n\
+         gate. The gate also checks the deterministic tallies — solves,\n\
          fan-outs, skips, jobs and deadline misses — exactly: those catch a\n\
-         behavioural change on every run, whatever the machine is doing.\n",
+         behavioural change on every run, whatever the machine is doing. The\n\
+         scale-out region is served once.\n",
     )
 }
 

@@ -60,11 +60,11 @@ pub fn part_a() -> Vec<(&'static str, f64)> {
         ("persHDD 100%", SplitPlacement::single(Tier::PersHdd)),
         (
             "ephSSD 50% persSSD 50%",
-            SplitPlacement::split(Tier::EphSsd, 0.5, Tier::PersSsd),
+            SplitPlacement::split(Tier::EphSsd, 0.5, Tier::PersSsd).expect("half split"),
         ),
         (
             "ephSSD 50% persHDD 50%",
-            SplitPlacement::split(Tier::EphSsd, 0.5, Tier::PersHdd),
+            SplitPlacement::split(Tier::EphSsd, 0.5, Tier::PersHdd).expect("half split"),
         ),
     ]
     .into_iter()
@@ -78,7 +78,8 @@ pub fn part_b() -> Vec<(f64, f64)> {
     [0.0, 0.3, 0.7, 0.9, 1.0]
         .into_iter()
         .map(|frac| {
-            let p = SplitPlacement::split(Tier::EphSsd, frac, Tier::PersHdd);
+            let p =
+                SplitPlacement::split(Tier::EphSsd, frac, Tier::PersHdd).expect("grid in [0, 1]");
             (frac * 100.0, grep_runtime(p) / eph * 100.0)
         })
         .collect()

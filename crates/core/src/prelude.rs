@@ -27,9 +27,8 @@ pub use cast_sim::{
     DegradationWindow, EngineSnapshot, FaultPlan, RunState, Sim, SimBuilder, VmCrash,
 };
 
-// Solver: plan representation, annealer tuning knobs, and the
-// simulation-backed candidate scoring used at live replan points.
-pub use cast_solver::{AnnealConfig, Assignment, CandidateScoring, TieringPlan};
+// Solver: plan representation and annealer tuning knobs.
+pub use cast_solver::{AnnealConfig, Assignment, TieringPlan};
 
 // Workload: job and workload descriptions, plus the arrival streams the
 // online runtime consumes.
@@ -37,8 +36,11 @@ pub use cast_workload::{
     AppKind, ArrivalConfig, ArrivalProcess, ArrivalStream, DriftConfig, Job, JobId, WorkloadSpec,
 };
 
-// Online runtime: rolling-horizon replanning over an arrival stream.
-pub use cast_runtime::{AdmissionPolicy, OnlineReport, OnlineRuntime, ReplanPolicy, RuntimeConfig};
+// Online runtime: rolling-horizon replanning over an arrival stream, and
+// the simulation-backed candidate scoring used at live replan points.
+pub use cast_runtime::{
+    AdmissionPolicy, CandidateScoring, OnlineReport, OnlineRuntime, ReplanPolicy, RuntimeConfig,
+};
 
 // Observability: attach a recording `Collector` via the `Observe` trait
 // (`X::new(..).observe(collector)` at every layer), then drain its trace

@@ -4,7 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 use cast_cloud::units::Duration;
-use cast_solver::{CandidateScoring, WarmStart};
+use cast_solver::WarmStart;
 
 /// When and whether the runtime re-runs the solver at epoch boundaries.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -95,6 +95,30 @@ impl MigrationProtocol {
     }
 }
 
+/// How an epoch's candidate plans are scored at the replan point.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum CandidateScoring {
+    /// Estimator-only (Eq. 4) scoring — the original behaviour; the
+    /// simulator runs once, on the committed plan.
+    #[default]
+    Analytic,
+    /// Simulate the shared prefix once, snapshot the live engine at the
+    /// replan horizon, and fork one engine per candidate
+    /// ([`cast_sim::EngineSnapshot::fork`]). Byte-identical decisions to
+    /// re-simulating every candidate from the epoch boundary.
+    ForkLive,
+}
+
+impl CandidateScoring {
+    /// Short label for tables and result files.
+    pub fn label(&self) -> &'static str {
+        match self {
+            CandidateScoring::Analytic => "analytic",
+            CandidateScoring::ForkLive => "fork-live",
+        }
+    }
+}
+
 /// When the runtime may skip the annealer entirely at an epoch boundary
 /// and keep serving the incumbent plan.
 ///
@@ -176,11 +200,11 @@ pub struct RuntimeConfig {
     /// How the epoch's candidate plans are scored at the replan point.
     /// The default, [`CandidateScoring::Analytic`], trusts the Eq. 4
     /// estimator and simulates only the committed plan — the behaviour
-    /// the runtime always had. The simulated modes redirect still-waiting
-    /// jobs mid-epoch and commit the winning what-if fork's result;
-    /// [`CandidateScoring::ForkLive`] makes the decisions cold
-    /// re-simulation of every candidate would (fork equivalence) at a
-    /// fraction of the replan latency.
+    /// the runtime always had. [`CandidateScoring::ForkLive`] redirects
+    /// still-waiting jobs mid-epoch and commits the winning what-if
+    /// fork's result: the decisions cold re-simulation of every
+    /// candidate would make (fork equivalence) at a fraction of the
+    /// replan latency.
     pub scoring: CandidateScoring,
     /// Replan-skip gate (see [`SkipPolicy`]). `serde(default)` keeps old
     /// serialized configs loadable.
@@ -224,6 +248,13 @@ mod tests {
         assert_eq!(MigrationProtocol::default(), MigrationProtocol::Unsafe);
         assert_eq!(MigrationProtocol::Unsafe.label(), "unsafe");
         assert_eq!(MigrationProtocol::safe().label(), "copy-verify-retire");
+    }
+
+    #[test]
+    fn scoring_labels_and_default() {
+        assert_eq!(CandidateScoring::default(), CandidateScoring::Analytic);
+        assert_eq!(CandidateScoring::Analytic.label(), "analytic");
+        assert_eq!(CandidateScoring::ForkLive.label(), "fork-live");
     }
 
     #[test]

@@ -36,8 +36,9 @@ pub mod report;
 pub mod runtime;
 pub mod session;
 
-pub use cast_solver::CandidateScoring;
-pub use config::{AdmissionPolicy, MigrationProtocol, ReplanPolicy, RuntimeConfig, SkipPolicy};
+pub use config::{
+    AdmissionPolicy, CandidateScoring, MigrationProtocol, ReplanPolicy, RuntimeConfig, SkipPolicy,
+};
 pub use error::RuntimeError;
 pub use forecast::{is_forecast, planning_spec, strip_forecast, FORECAST_ID_BASE};
 pub use migrate::{execute_schedule, home_tier, plan_delta, MigrationSchedule, ProtocolOutcome};

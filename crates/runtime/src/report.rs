@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 /// What happened in one epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct EpochReport {
     /// Epoch index.
     pub epoch: u32,

@@ -503,6 +503,38 @@ mod tests {
     }
 
     #[test]
+    fn fork_live_matches_analytic_until_its_first_redirect() {
+        // Candidate 0 of every what-if slate is the committed plan and a
+        // fork resumes exactly, so until the first epoch whose winning
+        // fork redirects waiting jobs, `ForkLive` serves the stream
+        // byte-for-byte as analytic scoring does.
+        let est = estimator(4);
+        let serve = |scoring| {
+            let cfg = RuntimeConfig {
+                scoring,
+                ..quick_cfg(ReplanPolicy::Periodic)
+            };
+            OnlineRuntime::new(&est, quick_anneal(400), cfg)
+                .run(&stream(3))
+                .unwrap()
+                .epochs
+        };
+        let analytic = serve(crate::CandidateScoring::Analytic);
+        let fork_live = serve(crate::CandidateScoring::ForkLive);
+        let first = fork_live
+            .iter()
+            .position(|e| e.whatif_winner > 0)
+            .expect("some epoch must redirect, or the comparison is vacuous");
+        assert!(first > 0, "no epoch precedes the first redirect");
+        for (a, f) in analytic[..first].iter().zip(&fork_live[..first]) {
+            assert_eq!(
+                serde_json::to_string(a).unwrap(),
+                serde_json::to_string(f).unwrap()
+            );
+        }
+    }
+
+    #[test]
     fn overrunning_batches_push_the_next_epoch_start() {
         let est = estimator(2);
         // A tiny cluster with a dense stream: batches overrun their

@@ -32,18 +32,20 @@ use cast_cloud::units::{DataSize, Duration};
 use cast_estimator::Estimator;
 use cast_obs::{Collector, EventBody, Observe};
 use cast_sim::config::Concurrency;
-use cast_sim::{prepare_runs, EngineScratch, Sim, SimConfig};
+use cast_sim::{
+    pick_winner, prepare_runs, score_forked, CandidateOverride, Engine, EngineScratch,
+    JobPlacement, SimConfig,
+};
 use cast_solver::objective::provision_round;
 use cast_solver::{
-    candidate_slate, class_signature, evaluate, score_candidates, AnnealConfig, Annealer,
-    Assignment, EvalContext, TieringPlan,
+    class_signature, evaluate, AnnealConfig, Annealer, Assignment, EvalContext, TieringPlan,
 };
 use cast_workload::arrival::assemble_spec;
 use cast_workload::{
     splitmix64, AppKind, Arrival, ArrivalStream, DatasetId, Job, ProfileSet, WorkloadSpec,
 };
 
-use crate::config::{AdmissionPolicy, ReplanPolicy, RuntimeConfig};
+use crate::config::{AdmissionPolicy, CandidateScoring, ReplanPolicy, RuntimeConfig};
 use crate::error::RuntimeError;
 use crate::forecast::{planning_spec, strip_forecast};
 use crate::migrate::{execute_schedule, plan_delta, MigrationSchedule};
@@ -65,7 +67,7 @@ pub const INGEST_FALLBACK: Tier = Tier::PersSsd;
 /// approximation.
 const SOLVE_SEED_SALT: u64 = 0x5EED_CA57_0000_0001;
 
-/// Under simulated candidate scoring, the fraction of the epoch length
+/// Under [`CandidateScoring::ForkLive`], the fraction of the epoch length
 /// that elapses (in simulated time) before the mid-epoch what-if fires:
 /// enough for the batch's early waves to be genuinely in flight, enough
 /// epoch left for a redirect to matter.
@@ -122,6 +124,24 @@ pub struct SolveInputs {
     warm: bool,
 }
 
+/// One boundary's admitted batch, carried whole from
+/// [`TenantSession::begin_epoch`] through planning to execution, deferral
+/// or rejection.
+#[derive(Debug)]
+struct Batch {
+    epoch: u32,
+    boundary: Duration,
+    /// When the batch starts executing: the boundary, or later when the
+    /// previous batch still holds the cluster.
+    start: Duration,
+    admitted: Vec<Arrival>,
+    /// Admission rejections surfaced in this batch's report row.
+    rejected: usize,
+    spec: WorkloadSpec,
+    /// The incumbent-derived placement (see [`ingest_plan`]).
+    ingest: TieringPlan,
+}
+
 /// A batch that has been assembled and admitted but whose annealer solve
 /// has not run yet. Produced by [`TenantSession::begin_epoch`]; consumed
 /// by [`TenantSession::solve_pending`] + [`TenantSession::finish_epoch`].
@@ -129,13 +149,7 @@ pub struct SolveInputs {
 /// representative per group.
 #[derive(Debug)]
 pub struct PendingPlan {
-    epoch: u32,
-    boundary: Duration,
-    batch_start: Duration,
-    admitted: Vec<Arrival>,
-    rejected: usize,
-    spec: WorkloadSpec,
-    ingest: TieringPlan,
+    batch: Batch,
     pspec: WorkloadSpec,
     init: TieringPlan,
     inputs: SolveInputs,
@@ -146,7 +160,7 @@ pub struct PendingPlan {
 impl PendingPlan {
     /// Epoch index on the region grid.
     pub fn epoch(&self) -> u32 {
-        self.epoch
+        self.batch.epoch
     }
 
     /// 64-bit digest of the solve inputs (plus the config seed). Equal
@@ -214,13 +228,7 @@ pub enum PlanPhase {
 /// the batch's raw per-tier capacity demand, waiting on a capacity grant.
 #[derive(Debug)]
 pub struct PlannedEpoch {
-    epoch: u32,
-    boundary: Duration,
-    batch_start: Duration,
-    admitted: Vec<Arrival>,
-    rejected: usize,
-    spec: WorkloadSpec,
-    ingest: TieringPlan,
+    batch: Batch,
     exec: TieringPlan,
     sched: MigrationSchedule,
     replanned: bool,
@@ -234,7 +242,7 @@ pub struct PlannedEpoch {
 impl PlannedEpoch {
     /// Epoch index on the region grid.
     pub fn epoch(&self) -> u32 {
-        self.epoch
+        self.batch.epoch
     }
 
     /// Raw (pre-provisioning) per-tier capacity the batch wants. This is
@@ -245,18 +253,18 @@ impl PlannedEpoch {
 
     /// Arrivals admitted into the batch.
     pub fn arrivals(&self) -> usize {
-        self.admitted.len()
+        self.batch.admitted.len()
     }
 
     /// Jobs across the admitted arrivals.
     pub fn jobs(&self) -> usize {
-        self.spec.jobs.len()
+        self.batch.spec.jobs.len()
     }
 
     /// When the batch starts executing (boundary, or later under
     /// backlog).
     pub fn batch_start_secs(&self) -> f64 {
-        self.batch_start.secs()
+        self.batch.start.secs()
     }
 
     /// How this epoch's execution plan was obtained.
@@ -377,15 +385,15 @@ impl<'a> TenantSession<'a> {
         let t1 = epoch_len * (k + 1) as f64;
         // Deferred batches go first: they arrived earlier, and their
         // original `at` instants keep deadline accounting honest.
-        let mut batch = std::mem::take(&mut self.carryover);
-        batch.extend(self.stream.window(t0, t1).iter().cloned());
-        if batch.is_empty() {
+        let mut arrivals = std::mem::take(&mut self.carryover);
+        arrivals.extend(self.stream.window(t0, t1).iter().cloned());
+        if arrivals.is_empty() {
             return Ok(PlanPhase::Idle);
         }
         // Arrivals in [t0, t1) execute at the boundary t1 — or later,
         // when the previous batch still holds the cluster.
         let batch_start = t1.max(self.clock);
-        let (admitted, mut rejected) = self.admit(&batch, batch_start)?;
+        let (admitted, mut rejected) = self.admit(&arrivals, batch_start)?;
         rejected += std::mem::take(&mut self.pending_rejected);
         if admitted.is_empty() {
             self.obs.counter("runtime.rejected").add(rejected as u64);
@@ -395,33 +403,35 @@ impl<'a> TenantSession<'a> {
         let spec = assemble_spec(admitted.iter());
         spec.validate()?;
         let ingest = ingest_plan(&spec, &self.ingest_map);
+        let batch = Batch {
+            epoch: k,
+            boundary: t1,
+            start: batch_start,
+            admitted,
+            rejected,
+            spec,
+            ingest,
+        };
 
         let must_replan = match self.cfg.policy {
             ReplanPolicy::Static => !self.solved_once,
             ReplanPolicy::Periodic | ReplanPolicy::Hysteresis { .. } => true,
         };
         if !must_replan {
-            let planned = seal_without_solve(k, t1, batch_start, admitted, rejected, spec, ingest)?;
-            return Ok(PlanPhase::Planned(planned));
+            return Ok(PlanPhase::Planned(seal_without_solve(batch)?));
         }
 
         let pspec = if self.cfg.forecast {
-            planning_spec(&spec, &self.prev_jobs)
+            planning_spec(&batch.spec, &self.prev_jobs)
         } else {
-            spec.clone()
+            batch.spec.clone()
         };
         let init = ingest_plan(&pspec, &self.ingest_map);
         let inputs = canonical_inputs(&pspec, &init, self.solved_once)?;
         let signature = solve_signature(self.cfg.seed, &pspec, &inputs);
         let seed = splitmix64(signature ^ SOLVE_SEED_SALT);
         let pending = PendingPlan {
-            epoch: k,
-            boundary: t1,
-            batch_start,
-            admitted,
-            rejected,
-            spec,
-            ingest,
+            batch,
             pspec,
             init,
             inputs,
@@ -452,29 +462,10 @@ impl<'a> TenantSession<'a> {
                     && (skip.max_drift > 0.0 || skip.max_score_delta > 0.0)
                     && cache.last_gain <= skip.max_score_delta
                 {
-                    let keys = drift_keys(&pending.spec);
+                    let keys = drift_keys(&pending.batch.spec);
                     if drift_distance(&keys, &cache.drift_keys) <= skip.max_drift {
                         self.obs.counter("runtime.replans_skipped").inc();
-                        let PendingPlan {
-                            epoch,
-                            boundary,
-                            batch_start,
-                            admitted,
-                            rejected,
-                            spec,
-                            ingest,
-                            ..
-                        } = pending;
-                        let planned = seal_without_solve(
-                            epoch,
-                            boundary,
-                            batch_start,
-                            admitted,
-                            rejected,
-                            spec,
-                            ingest,
-                        )?;
-                        return Ok(PlanPhase::Planned(planned));
+                        return Ok(PlanPhase::Planned(seal_without_solve(pending.batch)?));
                     }
                 }
             }
@@ -529,13 +520,7 @@ impl<'a> TenantSession<'a> {
         provenance: PlanProvenance,
     ) -> Result<PlannedEpoch, RuntimeError> {
         let PendingPlan {
-            epoch: k,
-            boundary,
-            batch_start,
-            admitted,
-            rejected,
-            spec,
-            ingest,
+            batch,
             pspec,
             inputs,
             ..
@@ -557,8 +542,9 @@ impl<'a> TenantSession<'a> {
 
         // Judge the candidate on the *real* batch only — forecast
         // jobs must not pad its score.
-        let rctx = EvalContext::new(self.estimator, &spec).with_reuse_awareness();
-        let incumbent_utility = evaluate(&ingest, &rctx)?.utility;
+        let (spec, ingest) = (&batch.spec, &batch.ingest);
+        let rctx = EvalContext::new(self.estimator, spec).with_reuse_awareness();
+        let incumbent_utility = evaluate(ingest, &rctx)?.utility;
         let candidate_utility = evaluate(&candidate, &rctx)?.utility;
         let score_delta = if incumbent_utility > 0.0 {
             (candidate_utility - incumbent_utility) / incumbent_utility
@@ -574,9 +560,9 @@ impl<'a> TenantSession<'a> {
         let mut sched = MigrationSchedule::default();
         if accept {
             adopted = true;
-            sched = plan_delta(&spec, &ingest, &candidate);
+            sched = plan_delta(spec, ingest, &candidate);
             exec = candidate;
-            for (app, tier) in majority_tiers(&spec, &exec) {
+            for (app, tier) in majority_tiers(spec, &exec) {
                 self.ingest_map.insert(app, tier);
             }
         }
@@ -586,28 +572,22 @@ impl<'a> TenantSession<'a> {
             // INFINITY when the incumbent scored ≤ 0: an unscorable
             // incumbent blocks future drift-skips until a clean solve.
             last_gain: score_delta,
-            drift_keys: drift_keys(&spec),
+            drift_keys: drift_keys(spec),
         });
 
         // The epoch's raw capacity demand. During a migration epoch both
         // the old (ingest) and new layout hold data simultaneously, so
         // each tier wants the larger of the two demands.
-        let raw_ingest = ingest.capacities(&spec, true)?;
+        let raw_ingest = ingest.capacities(spec, true)?;
         let demand = if adopted {
-            let raw_exec = exec.capacities(&spec, true)?;
+            let raw_exec = exec.capacities(spec, true)?;
             PerTier::from_fn(|t| (*raw_ingest.get(t)).max(*raw_exec.get(t)))
         } else {
             raw_ingest
         };
 
         Ok(PlannedEpoch {
-            epoch: k,
-            boundary,
-            batch_start,
-            admitted,
-            rejected,
-            spec,
-            ingest,
+            batch,
             exec,
             sched,
             replanned: true,
@@ -631,13 +611,7 @@ impl<'a> TenantSession<'a> {
         grant_frac: f64,
     ) -> Result<(), RuntimeError> {
         let PlannedEpoch {
-            epoch: k,
-            boundary,
-            batch_start,
-            admitted,
-            rejected,
-            spec,
-            ingest,
+            batch,
             mut exec,
             sched,
             replanned,
@@ -647,6 +621,7 @@ impl<'a> TenantSession<'a> {
             demand,
             provenance: _,
         } = planned;
+        let k = batch.epoch;
         let frac = grant_frac.clamp(0.0, 1.0);
         // A full grant must reproduce the solo runtime bit-for-bit, so
         // only scale when the scheduler actually took capacity away.
@@ -677,62 +652,37 @@ impl<'a> TenantSession<'a> {
             &self.obs,
         );
         for &jid in &protocol.rolled_back_jobs {
-            if let Some(a) = ingest.get(jid) {
+            if let Some(a) = batch.ingest.get(jid) {
                 exec.assign(jid, a);
             }
         }
-        // Simulate the epoch. Under analytic scoring the committed plan
-        // runs once, observed. Under simulated scoring the committed
-        // plan is only the leading candidate: at the mid-epoch horizon a
-        // what-if slate redirects still-waiting jobs, and the winning
-        // fork's report *is* the epoch result (fork equivalence makes
-        // that the decision cold re-simulation would commit).
-        let placements = exec.to_placements();
-        let mut whatif_winner = 0usize;
-        let report = if self.cfg.scoring.simulated() {
-            let runs = prepare_runs(&spec, &placements, &protocol.flows, &scfg)?;
-            // Only provisioned services are viable redirect targets — an
-            // unprovisioned tier has zero bandwidth — and ephSSD /
-            // objStore placements also lean on their backing tier.
-            let has = |t: Tier| capacities.get(t).gb() > 0.0;
-            let viable: Vec<Tier> = Tier::ALL
-                .into_iter()
-                .filter(|&t| {
-                    has(t)
-                        && match t {
-                            Tier::EphSsd => has(Tier::ObjStore),
-                            Tier::ObjStore => has(Tier::PersSsd),
-                            _ => true,
-                        }
-                })
-                .collect();
-            let slate = candidate_slate(&spec, &viable);
-            let horizon = self.cfg.epoch.secs() * WHATIF_HORIZON_FRACTION;
-            let t_wall = std::time::Instant::now();
-            let decision = score_candidates(
-                self.cfg.scoring,
-                &scfg,
-                runs,
-                &slate,
-                horizon,
-                WHATIF_WORKERS,
-            )?;
-            self.obs
-                .gauge("runtime.whatif_latency.wall")
-                .set(t_wall.elapsed().as_secs_f64());
-            whatif_winner = decision.winner;
-            if whatif_winner > 0 {
-                self.obs.counter("runtime.whatif_redirects").inc();
+        // Simulate the epoch on one live, observed engine. Under analytic
+        // scoring it runs to the end. Under `ForkLive` the committed plan
+        // is only the leading candidate: at the mid-epoch horizon the
+        // engine is snapshotted, one fork per candidate redirects the
+        // still-waiting jobs, and the winning fork's report *is* the
+        // epoch result (fork equivalence makes that the decision cold
+        // re-simulation would commit).
+        let runs = prepare_runs(&batch.spec, &exec.to_placements(), &protocol.flows, &scfg)?;
+        let mut live =
+            Engine::observed_with_scratch(&scfg, runs, self.obs.clone(), &mut self.scratch);
+        let (report, whatif_winner) = match self.cfg.scoring {
+            CandidateScoring::Analytic => (live.run()?, 0),
+            CandidateScoring::ForkLive => {
+                let t_wall = std::time::Instant::now();
+                live.run_until(self.cfg.epoch.secs() * WHATIF_HORIZON_FRACTION)?;
+                let slate = candidate_slate(&batch.spec, &capacities);
+                let mut reports = score_forked(&live.snapshot(), &slate, WHATIF_WORKERS)?;
+                let winner =
+                    pick_winner(&reports).expect("the slate leads with the committed plan");
+                self.obs
+                    .gauge("runtime.whatif_latency.wall")
+                    .set(t_wall.elapsed().as_secs_f64());
+                if winner > 0 {
+                    self.obs.counter("runtime.whatif_redirects").inc();
+                }
+                (reports.swap_remove(winner), winner)
             }
-            decision.report
-        } else {
-            let sim = Sim::builder(&scfg)
-                .jobs(&spec, &placements)
-                .migrations(&protocol.flows)
-                .collector(self.obs.clone())
-                .scratch(&mut self.scratch)
-                .build()?;
-            sim.run()?
         };
         // Retry backoff is wall time the protocol serialized into the
         // epoch on top of the simulated flows.
@@ -741,7 +691,7 @@ impl<'a> TenantSession<'a> {
         // Deadline accounting: a workflow's budget runs from its arrival
         // instant, so queueing before batch start counts.
         let mut misses = 0usize;
-        for a in &admitted {
+        for a in &batch.admitted {
             if let Some(wf) = &a.workflow {
                 let end = wf
                     .jobs
@@ -749,7 +699,7 @@ impl<'a> TenantSession<'a> {
                     .filter_map(|id| report.job(*id))
                     .map(|m| m.finished)
                     .fold(Duration::ZERO, Duration::max);
-                if (batch_start + end - a.at).secs() > wf.deadline.secs() {
+                if (batch.start + end - a.at).secs() > wf.deadline.secs() {
                     misses += 1;
                 }
             }
@@ -759,10 +709,10 @@ impl<'a> TenantSession<'a> {
         let cost = cost_model.breakdown(&capacities, makespan);
 
         self.obs.emit(
-            batch_start.secs(),
+            batch.start.secs(),
             EventBody::EpochPlan {
                 epoch: k,
-                arrivals: admitted.len() as u32,
+                arrivals: batch.admitted.len() as u32,
                 replanned,
                 adopted,
                 score_delta,
@@ -771,7 +721,7 @@ impl<'a> TenantSession<'a> {
         );
         for m in &sched.moves {
             self.obs.emit(
-                batch_start.secs(),
+                batch.start.secs(),
                 EventBody::Migration {
                     epoch: k,
                     from: m.from.name().to_string(),
@@ -805,7 +755,9 @@ impl<'a> TenantSession<'a> {
                 .counter("runtime.datasets_lost")
                 .add(protocol.lost.len() as u64);
         }
-        self.obs.counter("runtime.rejected").add(rejected as u64);
+        self.obs
+            .counter("runtime.rejected")
+            .add(batch.rejected as u64);
         self.obs
             .counter("runtime.deadline_misses")
             .add(misses as u64);
@@ -819,10 +771,10 @@ impl<'a> TenantSession<'a> {
 
         self.epochs.push(EpochReport {
             epoch: k,
-            boundary_secs: boundary.secs(),
-            start_secs: batch_start.secs(),
-            arrivals: admitted.len(),
-            jobs: spec.jobs.len(),
+            boundary_secs: batch.boundary.secs(),
+            start_secs: batch.start.secs(),
+            arrivals: batch.admitted.len(),
+            jobs: batch.spec.jobs.len(),
             replanned,
             adopted,
             score_delta,
@@ -841,10 +793,10 @@ impl<'a> TenantSession<'a> {
             vm_cost: cost.vm.dollars(),
             storage_cost: cost.storage_total().dollars(),
             deadline_misses: misses,
-            rejected,
+            rejected: batch.rejected,
         });
-        self.clock = batch_start + makespan;
-        self.prev_jobs = spec.jobs;
+        self.clock = batch.start + makespan;
+        self.prev_jobs = batch.spec.jobs;
         Ok(())
     }
 
@@ -854,23 +806,20 @@ impl<'a> TenantSession<'a> {
     /// rejections from the boundary surface in the next report row.
     pub fn defer_epoch(&mut self, planned: PlannedEpoch) {
         self.deferrals += 1;
-        self.pending_rejected += planned.rejected;
+        self.pending_rejected += planned.batch.rejected;
         self.obs.counter("runtime.deferred").inc();
-        self.carryover = planned.admitted;
+        self.carryover = planned.batch.admitted;
     }
 
     /// Turn a planned batch away wholesale (capacity denied for good).
     /// Every arrival — admitted or not — is recorded as rejected and
     /// nothing executes, provisions or costs anything.
     pub fn reject_epoch(&mut self, planned: PlannedEpoch) {
-        let rejected = planned.admitted.len() + planned.rejected;
+        let b = planned.batch;
+        let rejected = b.admitted.len() + b.rejected;
         self.obs.counter("runtime.rejected").add(rejected as u64);
-        self.epochs.push(empty_epoch(
-            planned.epoch,
-            planned.boundary,
-            planned.batch_start,
-            rejected,
-        ));
+        self.epochs
+            .push(empty_epoch(b.epoch, b.boundary, b.start, rejected));
     }
 
     /// Close the session and roll its epochs up into an [`OnlineReport`].
@@ -928,25 +877,11 @@ impl cast_obs::Observe for TenantSession<'_> {
 /// drift gate held): the incumbent-derived ingest placement executes
 /// as-is, nothing migrates, and the demand is the ingest layout's raw
 /// capacity.
-fn seal_without_solve(
-    k: u32,
-    boundary: Duration,
-    batch_start: Duration,
-    admitted: Vec<Arrival>,
-    rejected: usize,
-    spec: WorkloadSpec,
-    ingest: TieringPlan,
-) -> Result<PlannedEpoch, RuntimeError> {
-    let demand = ingest.capacities(&spec, true)?;
-    let exec = ingest.clone();
+fn seal_without_solve(batch: Batch) -> Result<PlannedEpoch, RuntimeError> {
+    let demand = batch.ingest.capacities(&batch.spec, true)?;
+    let exec = batch.ingest.clone();
     Ok(PlannedEpoch {
-        epoch: k,
-        boundary,
-        batch_start,
-        admitted,
-        rejected,
-        spec,
-        ingest,
+        batch,
         exec,
         sched: MigrationSchedule::default(),
         replanned: false,
@@ -1093,6 +1028,42 @@ pub fn majority_tiers(spec: &WorkloadSpec, plan: &TieringPlan) -> Vec<(AppKind, 
     out
 }
 
+/// The committed plan's slate of what-if alternatives: index 0 is the
+/// committed plan itself (no overrides), followed by one uniform
+/// redirect of every job to each viable tier, in tier order. Only
+/// provisioned services are viable — an unprovisioned tier has zero
+/// bandwidth and can only stall — and ephSSD / objStore placements also
+/// lean on their backing tier. Overrides only take effect on jobs still
+/// waiting at the replan horizon, so the redirects answer "move
+/// everything not yet started to tier t".
+fn candidate_slate(
+    spec: &WorkloadSpec,
+    capacities: &PerTier<DataSize>,
+) -> Vec<Vec<CandidateOverride>> {
+    let has = |t: Tier| capacities.get(t).gb() > 0.0;
+    let viable = Tier::ALL.into_iter().filter(|&t| {
+        has(t)
+            && match t {
+                Tier::EphSsd => has(Tier::ObjStore),
+                Tier::ObjStore => has(Tier::PersSsd),
+                _ => true,
+            }
+    });
+    let mut slate = vec![Vec::new()];
+    for tier in viable {
+        slate.push(
+            spec.jobs
+                .iter()
+                .map(|j| CandidateOverride {
+                    job: j.id,
+                    placement: JobPlacement::all_on(tier),
+                })
+                .collect(),
+        );
+    }
+    slate
+}
+
 /// Report row for a boundary whose every arrival was rejected: nothing
 /// ran, nothing was provisioned, nothing cost anything.
 fn empty_epoch(k: u32, boundary: Duration, start: Duration, rejected: usize) -> EpochReport {
@@ -1100,26 +1071,30 @@ fn empty_epoch(k: u32, boundary: Duration, start: Duration, rejected: usize) -> 
         epoch: k,
         boundary_secs: boundary.secs(),
         start_secs: start.secs(),
-        arrivals: 0,
-        jobs: 0,
-        replanned: false,
-        adopted: false,
-        score_delta: 0.0,
-        churn: 0,
-        migrations: 0,
-        migrated_mb: 0.0,
-        migration_retries: 0,
-        migration_rollbacks: 0,
-        datasets_lost: 0,
-        verify_mb: 0.0,
-        wasted_mb: 0.0,
-        backoff_secs: 0.0,
-        replan_moves: 0,
-        whatif_winner: 0,
-        makespan_secs: 0.0,
-        vm_cost: 0.0,
-        storage_cost: 0.0,
-        deadline_misses: 0,
         rejected,
+        ..EpochReport::default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cast_workload::synth;
+
+    #[test]
+    fn slate_leads_with_the_committed_plan() {
+        let spec = synth::workflow_suite(0xD1CE);
+        let everything = PerTier::from_fn(|_| DataSize::from_gb(4000.0));
+        let slate = candidate_slate(&spec, &everything);
+        assert_eq!(slate.len(), 1 + Tier::ALL.len());
+        assert!(slate[0].is_empty(), "index 0 is the no-redirect candidate");
+        assert!(slate[1..].iter().all(|c| c.len() == spec.jobs.len()));
+        // Without an object store, neither it nor the ephSSD it backs
+        // is a redirect target.
+        let no_objstore = PerTier::from_fn(|t| match t {
+            Tier::ObjStore => DataSize::ZERO,
+            _ => DataSize::from_gb(4000.0),
+        });
+        assert_eq!(candidate_slate(&spec, &no_objstore).len(), 1 + 2);
     }
 }

@@ -170,7 +170,7 @@ fn apply_loss_timeline(
             }
         }
     }
-    edges.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+    edges.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
     for (at, dataset, shards) in edges {
         let Some(&i) = index.get(&dataset) else {

@@ -2785,7 +2785,8 @@ mod tests {
                 Tier::EphSsd,
                 0.9,
                 Tier::PersHdd,
-            ))],
+            )
+            .unwrap())],
         )
         .run()
         .unwrap();

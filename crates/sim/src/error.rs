@@ -16,6 +16,12 @@ pub enum SimError {
     },
     /// A placement's input split fractions are invalid.
     InvalidSplit(u32),
+    /// A two-tier input split was asked for a fraction that is NaN or
+    /// outside `[0, 1]`.
+    SplitFraction(f64),
+    /// [`crate::SimBuilder::build`] was called with neither jobs nor
+    /// pre-lowered runs: there is nothing to simulate.
+    NoWorkload,
     /// The engine made no progress. Carries whatever is known about the
     /// blocking work so a zero-bandwidth placement (or a cluster that
     /// never recovers) is diagnosable from the error alone.
@@ -96,6 +102,15 @@ impl fmt::Display for SimError {
                 write!(f, "job #{job} placed on {tier} which has no capacity")
             }
             SimError::InvalidSplit(j) => write!(f, "job #{j} has an invalid input split"),
+            SimError::SplitFraction(frac) => {
+                write!(f, "input split fraction {frac} is not in [0, 1]")
+            }
+            SimError::NoWorkload => {
+                write!(
+                    f,
+                    "Sim::builder needs .jobs(..) or .runs(..) before .build()"
+                )
+            }
             SimError::Stalled {
                 at_secs,
                 job,

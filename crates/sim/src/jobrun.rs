@@ -520,7 +520,7 @@ mod tests {
         let c = cfg();
         let mut run = run_for(AppKind::Grep, 6.0, Tier::PersHdd);
         run.placement.input =
-            crate::placement::SplitPlacement::split(Tier::EphSsd, 0.5, Tier::PersHdd);
+            crate::placement::SplitPlacement::split(Tier::EphSsd, 0.5, Tier::PersHdd).unwrap();
         run.advance_phase(0.0, &c);
         let on_eph = run
             .pending

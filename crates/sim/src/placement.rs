@@ -11,6 +11,8 @@ use std::collections::HashMap;
 use cast_cloud::tier::Tier;
 use cast_workload::job::JobId;
 
+use crate::error::SimError;
+
 /// Input placement: fractions of the input dataset per tier.
 ///
 /// CAST itself always places a whole job on one tier (§3.2's
@@ -30,10 +32,14 @@ impl SplitPlacement {
         }
     }
 
-    /// A two-tier split: `frac` on `a`, the rest on `b`.
-    pub fn split(a: Tier, frac: f64, b: Tier) -> SplitPlacement {
-        assert!((0.0..=1.0).contains(&frac), "fraction out of range");
-        if frac >= 1.0 {
+    /// A two-tier split: `frac` on `a`, the rest on `b`. Fails with
+    /// [`SimError::SplitFraction`] when `frac` is NaN or outside
+    /// `[0, 1]`.
+    pub fn split(a: Tier, frac: f64, b: Tier) -> Result<SplitPlacement, SimError> {
+        if !(0.0..=1.0).contains(&frac) {
+            return Err(SimError::SplitFraction(frac));
+        }
+        Ok(if frac >= 1.0 {
             SplitPlacement::single(a)
         } else if frac <= 0.0 {
             SplitPlacement::single(b)
@@ -41,14 +47,15 @@ impl SplitPlacement {
             SplitPlacement {
                 parts: vec![(a, frac), (b, 1.0 - frac)],
             }
-        }
+        })
     }
 
-    /// The tier holding the largest share (the "primary" tier).
+    /// The tier holding the largest share (the "primary" tier), under
+    /// `f64` total order so a NaN fraction cannot panic.
     pub fn primary(&self) -> Tier {
         self.parts
             .iter()
-            .max_by(|x, y| x.1.partial_cmp(&y.1).expect("finite fractions"))
+            .max_by(|x, y| x.1.total_cmp(&y.1))
             .map(|&(t, _)| t)
             .expect("placement has at least one part")
     }
@@ -188,19 +195,41 @@ mod tests {
 
     #[test]
     fn split_placement_math() {
-        let p = SplitPlacement::split(Tier::EphSsd, 0.9, Tier::PersHdd);
+        let p = SplitPlacement::split(Tier::EphSsd, 0.9, Tier::PersHdd).unwrap();
         assert!(p.is_valid());
         assert_eq!(p.primary(), Tier::EphSsd);
-        let q = SplitPlacement::split(Tier::EphSsd, 0.3, Tier::PersHdd);
+        let q = SplitPlacement::split(Tier::EphSsd, 0.3, Tier::PersHdd).unwrap();
         assert_eq!(q.primary(), Tier::PersHdd);
     }
 
     #[test]
     fn degenerate_split_collapses() {
-        let p = SplitPlacement::split(Tier::EphSsd, 1.0, Tier::PersHdd);
+        let p = SplitPlacement::split(Tier::EphSsd, 1.0, Tier::PersHdd).unwrap();
         assert_eq!(p.parts.len(), 1);
-        let q = SplitPlacement::split(Tier::EphSsd, 0.0, Tier::PersHdd);
+        let q = SplitPlacement::split(Tier::EphSsd, 0.0, Tier::PersHdd).unwrap();
         assert_eq!(q.parts, vec![(Tier::PersHdd, 1.0)]);
+    }
+
+    #[test]
+    fn out_of_range_split_fractions_are_errors() {
+        for frac in [f64::NAN, -0.1, 1.5, f64::INFINITY] {
+            assert!(
+                matches!(
+                    SplitPlacement::split(Tier::EphSsd, frac, Tier::PersHdd),
+                    Err(SimError::SplitFraction(_))
+                ),
+                "fraction {frac}"
+            );
+        }
+    }
+
+    #[test]
+    fn nan_fraction_does_not_panic_primary() {
+        let p = SplitPlacement {
+            parts: vec![(Tier::EphSsd, f64::NAN), (Tier::PersHdd, 0.5)],
+        };
+        assert!(!p.is_valid());
+        assert!([Tier::EphSsd, Tier::PersHdd].contains(&p.primary()));
     }
 
     #[test]

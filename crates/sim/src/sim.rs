@@ -91,12 +91,9 @@ impl<'a> SimBuilder<'a> {
         self
     }
 
-    /// Validate and lower the inputs into a live [`Sim`].
-    ///
-    /// # Panics
-    ///
-    /// If neither [`SimBuilder::jobs`] nor [`SimBuilder::runs`] was
-    /// called — there is nothing to simulate.
+    /// Validate and lower the inputs into a live [`Sim`]. Fails with
+    /// [`SimError::NoWorkload`] if neither [`SimBuilder::jobs`] nor
+    /// [`SimBuilder::runs`] was called.
     pub fn build(self) -> Result<Sim<'a>, SimError> {
         let cfg = self.cfg;
         let mut durability = None;
@@ -121,7 +118,7 @@ impl<'a> SimBuilder<'a> {
                     prepare_runs(spec, placements, self.migrations, cfg)?
                 }
             }
-            (None, None) => panic!("Sim::builder needs .jobs(..) or .runs(..) before .build()"),
+            (None, None) => return Err(SimError::NoWorkload),
         };
         let engine = match self.scratch {
             Some(scratch) => Engine::observed_with_scratch(cfg, runs, self.collector, scratch),
@@ -305,9 +302,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "Sim::builder needs")]
-    fn build_without_inputs_panics() {
+    fn build_without_inputs_is_an_error() {
         let (_, _, cfg) = setup();
-        let _ = Sim::builder(&cfg).build();
+        assert!(matches!(
+            Sim::builder(&cfg).build(),
+            Err(SimError::NoWorkload)
+        ));
     }
 }

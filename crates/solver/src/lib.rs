@@ -22,10 +22,7 @@
 //!
 //! The search solvers never touch the simulator — they see the world only
 //! through the [`cast_estimator::Estimator`], exactly as CAST sees the real
-//! cluster only through its profiled models. The one deliberate exception
-//! is [`replan`]: at a live replan point the runtime can score a small
-//! candidate slate by forking the in-flight simulation itself
-//! ([`cast_sim::whatif`]) instead of trusting Eq. 4.
+//! cluster only through its profiled models.
 
 pub mod anneal;
 pub mod castpp;
@@ -37,7 +34,6 @@ pub mod incremental;
 pub mod neighbor;
 pub mod objective;
 pub mod plan;
-pub mod replan;
 
 pub use anneal::{restart_seed, AnnealConfig, Annealer, SearchOutcome, WarmStart};
 pub use castpp::{CastPlusPlus, CastPlusPlusConfig};
@@ -48,4 +44,3 @@ pub use greedy::{greedy_plan, GreedyMode};
 pub use incremental::{class_signature, job_class_key, CacheStats, IncrementalEval};
 pub use objective::{evaluate, EvalContext, PlanEval};
 pub use plan::{Assignment, TieringPlan};
-pub use replan::{candidate_slate, score_candidates, CandidateScoring, ReplanDecision};

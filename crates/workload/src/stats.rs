@@ -45,7 +45,7 @@ impl WorkloadStats {
             inputs.push(job.input.gb());
             total_footprint += job.footprint(profile);
         }
-        inputs.sort_by(|a, b| a.partial_cmp(b).expect("finite sizes"));
+        inputs.sort_by(f64::total_cmp);
         let total: f64 = inputs.iter().sum();
         let decile_jobs = (inputs.len() as f64 * 0.1).ceil() as usize;
         let top: f64 = inputs.iter().rev().take(decile_jobs.max(1)).sum();
