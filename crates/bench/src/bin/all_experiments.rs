@@ -603,13 +603,11 @@ fn main() {
          Simulator engine: every experiment drives the event-driven\n\
          `cast_sim::engine::Engine` (incremental share rates + completion heap;\n\
          see DESIGN.md \"Engine performance\"). The pre-overhaul stepper is kept\n\
-         compiled behind the default-on `reference-engine` feature purely as an\n\
-         equivalence oracle — `cargo test -p cast-sim --test engine_equivalence`\n\
-         checks the two agree within 1e-6 relative across randomized fault\n\
-         scenarios. `cargo run --release -p cast-bench --bin sim_scale`\n\
-         measures the engine's throughput (\"Engine scale grid\" below).\n\
-         Disabling the feature (`--no-default-features` on cast-sim) drops the\n\
-         oracle from the build; results are unaffected.\n\n\
+         purely as an equivalence oracle that no experiment or binary calls —\n\
+         `cargo test -p cast-sim --test engine_equivalence` checks the two\n\
+         agree within 1e-6 relative across randomized fault scenarios.\n\
+         `cargo run --release -p cast-bench --bin sim_scale` measures the\n\
+         engine's throughput (\"Engine scale grid\" below).\n\n\
          Observability: pass `--trace-out [STEM]` (also understood by the\n\
          `fault_sweep` binary) to record every solver and simulator run into\n\
          `results/STEM.trace.ndjson` — one JSON event per line: job / phase /\n\

@@ -31,7 +31,7 @@ pub fn grep_runtime(input: SplitPlacement) -> f64 {
         .expect("valid capacities");
     // The paper schedules all 24 maps as a single wave.
     cfg.vm.map_slots = 24;
-    let primary = input.primary();
+    let primary = input.primary().expect("Fig. 5 splits are non-empty");
     let mut placement = JobPlacement::all_on(primary);
     placement.input = input;
     // Isolate the map phase effect: no staging, intermediate on the

@@ -174,15 +174,6 @@ impl ExperimentIo {
         self.args.iter().any(|a| a == flag)
     }
 
-    /// The value following `flag`, when present and not itself a flag.
-    pub fn value_of(&self, flag: &str) -> Option<&str> {
-        let pos = self.args.iter().position(|a| a == flag)?;
-        self.args
-            .get(pos + 1)
-            .filter(|v| !v.starts_with('-'))
-            .map(String::as_str)
-    }
-
     /// The shared results directory (see [`results_dir`]).
     pub fn results_dir(&self) -> PathBuf {
         results_dir()

@@ -41,11 +41,6 @@ impl ProvisionPlan {
         *self.per_vm.get(tier) * self.nvm as f64
     }
 
-    /// Aggregate capacity on every tier.
-    pub fn aggregates(&self) -> PerTier<DataSize> {
-        PerTier::from_fn(|t| self.aggregate(t))
-    }
-
     /// Total provisioned bytes across all tiers and VMs.
     pub fn total(&self) -> DataSize {
         Tier::ALL.iter().map(|&t| self.aggregate(t)).sum()

@@ -9,6 +9,8 @@ pub enum EstimatorError {
     EmptyFit,
     /// Two knots share an x-coordinate.
     DuplicateKnot(f64),
+    /// A knot's x-coordinate is NaN.
+    NanKnot,
     /// No profile exists for the requested (application, tier).
     NotProfiled {
         /// Application name.
@@ -27,6 +29,7 @@ impl fmt::Display for EstimatorError {
             EstimatorError::DuplicateKnot(x) => {
                 write!(f, "duplicate spline knot at x={x}")
             }
+            EstimatorError::NanKnot => write!(f, "spline knot at x=NaN"),
             EstimatorError::NotProfiled { app, tier } => {
                 write!(f, "no profile for {app} on {tier}; run the profiler first")
             }

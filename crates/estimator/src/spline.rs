@@ -33,13 +33,17 @@ pub struct MonotoneSpline {
 
 impl MonotoneSpline {
     /// Fit a spline through `(x, y)` points. Points are sorted by `x`;
-    /// at least one point is required and `x` values must be distinct.
+    /// at least one point is required and `x` values must be distinct
+    /// and not NaN.
     pub fn fit(points: &[(f64, f64)]) -> Result<MonotoneSpline, EstimatorError> {
         if points.is_empty() {
             return Err(EstimatorError::EmptyFit);
         }
+        if points.iter().any(|p| p.0.is_nan()) {
+            return Err(EstimatorError::NanKnot);
+        }
         let mut pts: Vec<(f64, f64)> = points.to_vec();
-        pts.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("spline knots must not be NaN"));
+        pts.sort_by(|a, b| a.0.total_cmp(&b.0));
         for w in pts.windows(2) {
             if (w[1].0 - w[0].0).abs() < 1e-12 {
                 return Err(EstimatorError::DuplicateKnot(w[0].0));
@@ -182,6 +186,14 @@ mod tests {
             MonotoneSpline::fit(&[]),
             Err(EstimatorError::EmptyFit)
         ));
+    }
+
+    #[test]
+    fn nan_knot_is_an_error() {
+        assert_eq!(
+            MonotoneSpline::fit(&[(1.0, 1.0), (f64::NAN, 2.0)]),
+            Err(EstimatorError::NanKnot)
+        );
     }
 
     #[test]

@@ -68,7 +68,10 @@ pub enum EventBody {
         job: u32,
         /// VM the task runs on.
         vm: u32,
-        /// Lifecycle edge name, mirroring the simulator's `TaskEventKind`.
+        /// Slot pool the task occupies: `"map"`, `"reduce"` or
+        /// `"transfer"`.
+        slot: String,
+        /// Lifecycle edge name, e.g. `"started"` or `"killed"`.
         kind: String,
     },
     /// Sampled tier-bandwidth contention: aggregate demand vs. capacity.

@@ -55,6 +55,7 @@ mod tests {
             EventBody::Task {
                 job: 0,
                 vm: 0,
+                slot: "map".into(),
                 kind: "started".into(),
             },
         );

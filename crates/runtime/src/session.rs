@@ -261,12 +261,6 @@ impl PlannedEpoch {
         self.batch.spec.jobs.len()
     }
 
-    /// When the batch starts executing (boundary, or later under
-    /// backlog).
-    pub fn batch_start_secs(&self) -> f64 {
-        self.batch.start.secs()
-    }
-
     /// How this epoch's execution plan was obtained.
     pub fn provenance(&self) -> PlanProvenance {
         self.provenance

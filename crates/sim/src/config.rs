@@ -57,9 +57,6 @@ pub struct SimConfig {
     /// see the Table 1 rate, but the bucket saturates once enough VMs pull
     /// concurrently.
     pub objstore_cluster_mbps: f64,
-    /// Record a per-task [`crate::trace::Trace`] during simulation
-    /// (off by default; adds memory proportional to task count).
-    pub collect_trace: bool,
     /// Fault-injection scenario. The default (empty) plan reproduces
     /// fault-free simulations bit-identically.
     pub faults: FaultPlan,
@@ -92,7 +89,6 @@ impl SimConfig {
             transfer_streams_per_vm: 4,
             task_startup_secs: 1.5,
             objstore_cluster_mbps: cast_cloud::catalog::OBJSTORE_CLUSTER_MBPS,
-            collect_trace: false,
             faults: FaultPlan::default(),
             event_budget: DEFAULT_EVENT_BUDGET,
         })
@@ -199,7 +195,6 @@ mod tests {
         // including a populated fault plan — and must get it back intact.
         let mut cfg = SimConfig::paper_cluster(&agg(1000.0)).unwrap();
         cfg.concurrency = Concurrency::Parallel;
-        cfg.collect_trace = true;
         cfg.faults = crate::fault::FaultPlan {
             task_failure_prob: 0.01,
             ..crate::fault::FaultPlan::default()
@@ -210,7 +205,12 @@ mod tests {
             down_secs: Some(60.0),
         });
         let json = serde_json::to_string(&cfg).expect("serialize");
-        let back: SimConfig = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(cfg, back);
+        // Configs saved by older versions may still carry the retired
+        // `collect_trace` field; unknown fields are ignored.
+        let old = json.replacen('{', "{\"collect_trace\":true,", 1);
+        for text in [json, old] {
+            let back: SimConfig = serde_json::from_str(&text).expect("deserialize");
+            assert_eq!(cfg, back);
+        }
     }
 }

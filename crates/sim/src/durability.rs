@@ -90,12 +90,14 @@ pub struct DurabilityReport {
 /// Map every workload dataset to its shard state under `placements`.
 ///
 /// A dataset's home tier is the primary input tier of its first reader
-/// job; its scheme comes from the catalog's service on that tier.
+/// job; its scheme comes from the catalog's service on that tier. Fails
+/// with [`SimError::InvalidSplit`] when that reader's input split has no
+/// parts.
 pub fn shard_states(
     spec: &WorkloadSpec,
     placements: &PlacementMap,
     cfg: &SimConfig,
-) -> Vec<ShardState> {
+) -> Result<Vec<ShardState>, SimError> {
     let mut seen: HashMap<u32, usize> = HashMap::new();
     let mut states: Vec<ShardState> = Vec::new();
     for job in &spec.jobs {
@@ -103,7 +105,7 @@ pub fn shard_states(
             continue;
         }
         let tier = match placements.get(job.id) {
-            Some(p) => p.input.primary(),
+            Some(p) => p.input.primary().ok_or(SimError::InvalidSplit(job.id.0))?,
             None => continue,
         };
         let logical = spec
@@ -119,7 +121,7 @@ pub fn shard_states(
             lost: 0,
         });
     }
-    states
+    Ok(states)
 }
 
 /// Deterministic home VM of a dataset's shard 0.
@@ -223,7 +225,7 @@ pub(crate) fn durability_prepass(
     if let Err(reason) = cfg.faults.validate(cfg.nvm) {
         return Err(SimError::InvalidFaultPlan { reason });
     }
-    let mut states = shard_states(spec, placements, cfg);
+    let mut states = shard_states(spec, placements, cfg)?;
     apply_loss_timeline(&mut states, cfg, collector)?;
 
     let damaged: Vec<usize> = (0..states.len()).filter(|&i| states[i].lost > 0).collect();
@@ -378,6 +380,17 @@ mod tests {
             durable.makespan.secs().to_bits()
         );
         assert_eq!(rep, DurabilityReport::default());
+    }
+
+    #[test]
+    fn empty_split_is_an_error_before_the_loss_timeline() {
+        let (spec, mut placements) = ec_spec_and_placement();
+        let mut empty = crate::placement::JobPlacement::all_on(Tier::PersHdd);
+        empty.input.parts.clear();
+        placements.set(spec.jobs[0].id, empty);
+        let cfg = cfg_with(Catalog::with_ec_cold_tier(), 2, FaultPlan::default());
+        let err = simulate_durable(&spec, &placements, &cfg, &Collector::noop()).unwrap_err();
+        assert_eq!(err, SimError::InvalidSplit(0));
     }
 
     #[test]

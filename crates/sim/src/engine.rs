@@ -40,12 +40,12 @@
 //!
 //! The pre-overhaul stepper that recomputed every rate and advanced every
 //! task on every event survives as [`crate::reference::ReferenceEngine`]
-//! (behind the `reference-engine` feature) and serves as the equivalence
-//! oracle: both engines agree within 1e-6 relative on makespan and
-//! per-job phase times across randomized workloads, placements and fault
-//! plans (`tests/engine_equivalence.rs`). Decision points — dispatch
-//! order, VM picks, fault arming, speculation policy — are kept in
-//! lockstep between the two implementations; edit them together.
+//! and serves as the equivalence oracle: both engines agree within 1e-6
+//! relative on makespan and per-job phase times across randomized
+//! workloads, placements and fault plans (`tests/engine_equivalence.rs`).
+//! Decision points — dispatch order, VM picks, fault arming, speculation
+//! policy — are kept in lockstep between the two implementations; edit
+//! them together.
 //!
 //! ## Fault injection and recovery
 //!
@@ -75,7 +75,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use cast_obs::{Collector, Counter, EventBody, Histogram};
-use cast_workload::job::JobId;
 
 use crate::config::{Concurrency, SimConfig};
 use crate::error::SimError;
@@ -86,10 +85,7 @@ use crate::resources::{ResKind, ShareRegistry};
 use crate::soa::{
     TaskTable, TemplateArena, NO_DOOM, NO_HEAP, NO_POS, NO_RES, NO_TEMPLATE, NO_TWIN,
 };
-#[cfg(feature = "reference-engine")]
-use crate::task::RunningTask;
-use crate::task::{bind_spec, BoundStage, SlotKind, TaskTemplate};
-use crate::trace::{TaskEvent, TaskEventKind, Trace};
+use crate::task::{bind_spec, BoundStage, RunningTask, SlotKind, TaskTemplate};
 use cast_cloud::units::Duration;
 
 /// Completion tolerance for floating-point progress.
@@ -136,28 +132,53 @@ impl SimObs {
         }
     }
 
-    pub(crate) fn task_counter(&self, kind: TaskEventKind) -> &Counter {
-        match kind {
-            TaskEventKind::Started => &self.started,
-            TaskEventKind::Finished => &self.finished,
-            TaskEventKind::Failed => &self.failed,
-            TaskEventKind::Retried => &self.retried,
-            TaskEventKind::Speculated => &self.speculated,
-            TaskEventKind::Killed => &self.killed,
+    /// Count one task-lifecycle edge under `sim.tasks.*` and, on a
+    /// recording collector, emit it as a `task` event at time `t`.
+    pub(crate) fn task(&self, t: f64, job: usize, vm: u32, slot: SlotKind, kind: TaskEventKind) {
+        let (counter, label) = match kind {
+            TaskEventKind::Started => (&self.started, "started"),
+            TaskEventKind::Finished => (&self.finished, "finished"),
+            TaskEventKind::Failed => (&self.failed, "failed"),
+            TaskEventKind::Retried => (&self.retried, "retried"),
+            TaskEventKind::Speculated => (&self.speculated, "speculated"),
+            TaskEventKind::Killed => (&self.killed, "killed"),
+        };
+        counter.inc();
+        if self.col.enabled() {
+            let slot = match slot {
+                SlotKind::Map => "map",
+                SlotKind::Reduce => "reduce",
+                SlotKind::Transfer => "transfer",
+            };
+            self.col.emit(
+                t,
+                EventBody::Task {
+                    job: job as u32,
+                    vm,
+                    slot: slot.to_string(),
+                    kind: label.to_string(),
+                },
+            );
         }
     }
 }
 
-/// Span-taxonomy label of a task-lifecycle edge.
-pub(crate) fn task_kind_label(kind: TaskEventKind) -> &'static str {
-    match kind {
-        TaskEventKind::Started => "started",
-        TaskEventKind::Finished => "finished",
-        TaskEventKind::Failed => "failed",
-        TaskEventKind::Retried => "retried",
-        TaskEventKind::Speculated => "speculated",
-        TaskEventKind::Killed => "killed",
-    }
+/// A task-lifecycle edge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TaskEventKind {
+    /// A task was dispatched onto a slot.
+    Started,
+    /// A task finished and released its slot.
+    Finished,
+    /// A task attempt failed mid-run (fault injection).
+    Failed,
+    /// A previously failed or killed task was re-dispatched.
+    Retried,
+    /// A speculative backup copy of a straggler was launched.
+    Speculated,
+    /// A task was killed — its VM crashed, or its twin won the
+    /// speculative race.
+    Killed,
 }
 
 /// A scheduled point where the fault plan changes the cluster.
@@ -190,7 +211,6 @@ struct RetrySlot {
 
 /// A failed or crash-killed task waiting out its retry backoff
 /// (reference stepper's boxed form).
-#[cfg(feature = "reference-engine")]
 #[derive(Debug, Clone)]
 pub(crate) struct RetryEntry {
     pub(crate) ready_at: f64,
@@ -202,7 +222,6 @@ pub(crate) struct RetryEntry {
 
 /// Engine-side fault bookkeeping for the reference stepper (the
 /// event-driven engine keeps the same state inside [`EngineScratch`]).
-#[cfg(feature = "reference-engine")]
 pub(crate) struct FaultState {
     pub(crate) enabled: bool,
     pub(crate) crashed: Vec<bool>,
@@ -214,7 +233,6 @@ pub(crate) struct FaultState {
     pub(crate) vm_crashes: u32,
 }
 
-#[cfg(feature = "reference-engine")]
 impl FaultState {
     pub(crate) fn new(cfg: &SimConfig, njobs: usize) -> FaultState {
         let mut events = Vec::new();
@@ -302,21 +320,9 @@ pub enum RunState {
 /// positional delete: at most one entry per task ever exists, and every
 /// entry in the heap is live. The position column is passed in by the
 /// caller (`&mut table.heap_pos`) to keep the borrows disjoint.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct TaskHeap {
     v: Vec<(f64, u32)>,
-}
-
-/// Hand-written so `clone_from` reuses the entry buffer on the
-/// snapshot/fork resume path.
-impl Clone for TaskHeap {
-    fn clone(&self) -> Self {
-        TaskHeap { v: self.v.clone() }
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        self.v.clone_from(&src.v);
-    }
 }
 
 impl TaskHeap {
@@ -455,6 +461,7 @@ impl Ord for Wake {
 /// benchmark reps). Preparation is in-place: buffers are cleared, not
 /// dropped, and [`EngineStats::scratch_reallocs`] counts the ones that
 /// had to grow.
+#[derive(Clone)]
 pub struct EngineScratch {
     reg: ShareRegistry,
     table: TaskTable,
@@ -602,55 +609,6 @@ impl Default for EngineScratch {
     }
 }
 
-/// Hand-written so `clone_from` reuses every buffer: restoring a
-/// snapshot into a previously-sized scratch ([`EngineSnapshot::fork_with_scratch`])
-/// allocates nothing. `BinaryHeap`'s own `clone_from` already forwards to
-/// the backing vector's.
-impl Clone for EngineScratch {
-    fn clone(&self) -> Self {
-        let mut s = EngineScratch::new();
-        s.clone_from(self);
-        s
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        self.reg.clone_from(&src.reg);
-        self.table.clone_from(&src.table);
-        self.arena.clone_from(&src.arena);
-        self.buf_pool.truncate(src.buf_pool.len());
-        for (dst, s) in self.buf_pool.iter_mut().zip(&src.buf_pool) {
-            dst.clone_from(s);
-        }
-        for s in &src.buf_pool[self.buf_pool.len()..] {
-            self.buf_pool.push(s.clone());
-        }
-        self.heap.clone_from(&src.heap);
-        self.wakes.clone_from(&src.wakes);
-        self.dirty_tasks.clone_from(&src.dirty_tasks);
-        self.due.clone_from(&src.due);
-        self.winners.clone_from(&src.winners);
-        self.affected_jobs.clone_from(&src.affected_jobs);
-        self.affected_flags.clone_from(&src.affected_flags);
-        self.pending_jobs.clone_from(&src.pending_jobs);
-        self.front_slot.clone_from(&src.front_slot);
-        self.dispatch_scratch.clone_from(&src.dispatch_scratch);
-        self.spec_rates.clone_from(&src.spec_rates);
-        self.stragglers.clone_from(&src.stragglers);
-        self.wave_scratch.clone_from(&src.wave_scratch);
-        self.free_map.clone_from(&src.free_map);
-        self.free_red.clone_from(&src.free_red);
-        self.avail_map = src.avail_map;
-        self.avail_red = src.avail_red;
-        self.slot_heap_map.clone_from(&src.slot_heap_map);
-        self.slot_heap_red.clone_from(&src.slot_heap_red);
-        self.crashed.clone_from(&src.crashed);
-        self.seq.clone_from(&src.seq);
-        self.retries.clone_from(&src.retries);
-        self.fault_events.clone_from(&src.fault_events);
-        self.reallocs = src.reallocs;
-    }
-}
-
 /// Owned-or-borrowed scratch; both deref to [`EngineScratch`] so the hot
 /// path is identical.
 enum ScratchRef<'a> {
@@ -695,10 +653,6 @@ struct Removed {
     moved: Option<usize>,
 }
 
-/// Version stamp carried by every [`EngineSnapshot`]; bumped when the
-/// captured state inventory changes shape.
-pub const SNAPSHOT_VERSION: u32 = 1;
-
 /// An owned, opaque copy of a live simulation's complete state, taken
 /// with [`Engine::snapshot`]. Independent of the source engine's
 /// lifetime (it owns its own `SimConfig` and job runs) and `Send + Sync`,
@@ -711,9 +665,8 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// streams and uid counters, retry backlog, fault cursors, and every
 /// determinism-relevant scalar (dispatch cursor, done-prefix watermark,
 /// event/budget counters). Not captured: the observability collector —
-/// each fork attaches its own (default: no-op).
+/// forks record into a no-op one.
 pub struct EngineSnapshot {
-    version: u32,
     cfg: SimConfig,
     jobs: Vec<JobRun>,
     state: Box<EngineScratch>,
@@ -721,7 +674,6 @@ pub struct EngineSnapshot {
     clock: f64,
     dispatch_cursor: usize,
     done_prefix: usize,
-    trace: Option<Trace>,
     fault_enabled: bool,
     next_fault_event: usize,
     vm_crashes: u32,
@@ -734,42 +686,25 @@ pub struct EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    /// Format version of this snapshot.
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
-    /// Simulated time the snapshot was taken at.
-    pub fn clock(&self) -> f64 {
-        self.clock
-    }
-
-    /// The configuration the captured run executes under.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
-    /// The captured job runs (placements, phases, progress counters).
-    pub fn jobs(&self) -> &[JobRun] {
-        &self.jobs
-    }
-
-    /// Restore the snapshot into `st` and return a live engine. All
-    /// fork flavors funnel through here.
-    fn fork_into<'s>(&'s self, collector: Collector, st: ScratchRef<'s>) -> Engine<'s> {
+    /// Fork a fresh engine resuming from the captured state. Each fork
+    /// is fully independent; the snapshot can be forked any number of
+    /// times. Running a fork to completion is bit-identical to the
+    /// source engine having run uninterrupted (with the same
+    /// post-snapshot decisions). The fork records into a no-op
+    /// collector.
+    pub fn fork(&self) -> Engine<'_> {
         Engine {
             cfg: &self.cfg,
-            st,
+            st: ScratchRef::Owned(Box::new((*self.state).clone())),
             jobs: self.jobs.clone(),
             jobs_changed: self.jobs_changed,
             clock: self.clock,
             dispatch_cursor: self.dispatch_cursor,
             done_prefix: self.done_prefix,
-            trace: self.trace.clone(),
             fault_enabled: self.fault_enabled,
             next_fault_event: self.next_fault_event,
             vm_crashes: self.vm_crashes,
-            obs: SimObs::new(collector),
+            obs: SimObs::new(Collector::noop()),
             started: self.started,
             events: self.events,
             steps_done: self.steps_done,
@@ -777,35 +712,6 @@ impl EngineSnapshot {
             wake_entries_allocated: self.wake_entries_allocated,
             dirty_drain_batches: self.dirty_drain_batches,
         }
-    }
-
-    /// Fork a fresh engine resuming from the captured state. Each fork
-    /// is fully independent; the snapshot can be forked any number of
-    /// times. Running a fork to completion is bit-identical to the
-    /// source engine having run uninterrupted (with the same
-    /// post-snapshot decisions).
-    pub fn fork(&self) -> Engine<'_> {
-        self.fork_into(
-            Collector::noop(),
-            ScratchRef::Owned(Box::new((*self.state).clone())),
-        )
-    }
-
-    /// [`EngineSnapshot::fork`] with an observability collector
-    /// attached.
-    pub fn fork_observed(&self, collector: Collector) -> Engine<'_> {
-        self.fork_into(
-            collector,
-            ScratchRef::Owned(Box::new((*self.state).clone())),
-        )
-    }
-
-    /// [`EngineSnapshot::fork`] restoring into caller-owned scratch —
-    /// the zero-allocation resume path: restoring into a scratch that
-    /// previously held a same-or-larger run reuses every buffer.
-    pub fn fork_with_scratch<'s>(&'s self, scratch: &'s mut EngineScratch) -> Engine<'s> {
-        scratch.clone_from(&self.state);
-        self.fork_into(Collector::noop(), ScratchRef::Borrowed(scratch))
     }
 }
 
@@ -825,7 +731,6 @@ pub struct Engine<'a> {
     /// into an O(1) comparison (the scan is O(done-prefix) per waiting
     /// job, which goes quadratic-in-jobs on long sequential backlogs).
     done_prefix: usize,
-    trace: Option<Trace>,
     fault_enabled: bool,
     next_fault_event: usize,
     vm_crashes: u32,
@@ -895,7 +800,6 @@ impl<'a> Engine<'a> {
             clock: 0.0,
             dispatch_cursor: 0,
             done_prefix: 0,
-            trace: cfg.collect_trace.then(Trace::default),
             fault_enabled: !cfg.faults.is_empty(),
             next_fault_event: 0,
             vm_crashes: 0,
@@ -1038,7 +942,6 @@ impl<'a> Engine<'a> {
             jobs: metrics,
             makespan: Duration::from_secs(self.clock),
             faults,
-            trace: self.trace,
         };
         let stats = EngineStats {
             steps: self.events,
@@ -1060,7 +963,6 @@ impl<'a> Engine<'a> {
     /// incumbent.
     pub fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
-            version: SNAPSHOT_VERSION,
             cfg: self.cfg.clone(),
             jobs: self.jobs.clone(),
             state: Box::new((*self.st).clone()),
@@ -1068,7 +970,6 @@ impl<'a> Engine<'a> {
             clock: self.clock,
             dispatch_cursor: self.dispatch_cursor,
             done_prefix: self.done_prefix,
-            trace: self.trace.clone(),
             fault_enabled: self.fault_enabled,
             next_fault_event: self.next_fault_event,
             vm_crashes: self.vm_crashes,
@@ -1079,38 +980,6 @@ impl<'a> Engine<'a> {
             wake_entries_allocated: self.wake_entries_allocated,
             dirty_drain_batches: self.dirty_drain_batches,
         }
-    }
-
-    /// Fork an independent engine continuing from this one's current
-    /// state (shorthand for `snapshot` + fork when the snapshot itself
-    /// is not needed). The fork owns its state; running it does not
-    /// perturb the original.
-    pub fn fork(&self) -> Engine<'a> {
-        Engine {
-            cfg: self.cfg,
-            st: ScratchRef::Owned(Box::new((*self.st).clone())),
-            jobs: self.jobs.clone(),
-            jobs_changed: self.jobs_changed,
-            clock: self.clock,
-            dispatch_cursor: self.dispatch_cursor,
-            done_prefix: self.done_prefix,
-            trace: self.trace.clone(),
-            fault_enabled: self.fault_enabled,
-            next_fault_event: self.next_fault_event,
-            vm_crashes: self.vm_crashes,
-            obs: SimObs::new(self.obs.col.clone()),
-            started: self.started,
-            events: self.events,
-            steps_done: self.steps_done,
-            heap_stale_popped: self.heap_stale_popped,
-            wake_entries_allocated: self.wake_entries_allocated,
-            dirty_drain_batches: self.dirty_drain_batches,
-        }
-    }
-
-    /// Current simulated time.
-    pub fn clock(&self) -> f64 {
-        self.clock
     }
 
     /// The engine's job runs (placements, phases, progress counters).
@@ -1647,7 +1516,8 @@ impl<'a> Engine<'a> {
                     }
                 }
                 let slot = tmpl.slot;
-                self.push_trace(i, vm as u32, slot, TaskEventKind::Started);
+                self.obs
+                    .task(self.clock, i, vm as u32, slot, TaskEventKind::Started);
                 let mut buf = bind_template(&mut self.st.buf_pool, vm as u32, &tmpl);
                 let (mut uid, mut tid, mut doom) = (0u64, NO_TEMPLATE, NO_DOOM);
                 if self.fault_enabled {
@@ -1740,7 +1610,8 @@ impl<'a> Engine<'a> {
                 }
             }
             let job = entry.job as usize;
-            self.push_trace(job, vm as u32, slot, TaskEventKind::Retried);
+            self.obs
+                .task(self.clock, job, vm as u32, slot, TaskEventKind::Retried);
             let mut buf = {
                 let st = &mut *self.st;
                 bind_template(&mut st.buf_pool, vm as u32, st.arena.get(entry.tid))
@@ -1863,7 +1734,8 @@ impl<'a> Engine<'a> {
             let orig_uid = self.st.table.uid[i];
             let attempt = self.st.table.attempt[i];
             self.st.table.speculated[i] = true;
-            self.push_trace(job, vm as u32, slot, TaskEventKind::Speculated);
+            self.obs
+                .task(self.clock, job, vm as u32, slot, TaskEventKind::Speculated);
             let mut buf = {
                 let st = &mut *self.st;
                 st.arena.retain(tid);
@@ -1962,7 +1834,13 @@ impl<'a> Engine<'a> {
             let job = victim.job;
             self.jobs[job].active -= 1;
             self.jobs[job].kills += 1;
-            self.push_trace(job, victim.vm, victim.slot, TaskEventKind::Killed);
+            self.obs.task(
+                self.clock,
+                job,
+                victim.vm,
+                victim.slot,
+                TaskEventKind::Killed,
+            );
             self.push_affected(job);
             if victim.speculated && self.twin_index(victim.uid, victim.backup_of).is_some() {
                 // The surviving copy carries the work.
@@ -2049,30 +1927,6 @@ impl<'a> Engine<'a> {
             }
         }
         self.stalled_error()
-    }
-
-    fn push_trace(&mut self, job: usize, vm: u32, slot: SlotKind, kind: TaskEventKind) {
-        let id = self.jobs[job].job.id;
-        if let Some(trace) = self.trace.as_mut() {
-            trace.events.push(TaskEvent {
-                time: self.clock,
-                job: id,
-                vm,
-                slot,
-                kind,
-            });
-        }
-        self.obs.task_counter(kind).inc();
-        if self.obs.col.enabled() {
-            self.obs.col.emit(
-                self.clock,
-                EventBody::Task {
-                    job: job as u32,
-                    vm,
-                    kind: task_kind_label(kind).to_string(),
-                },
-            );
-        }
     }
 
     fn release_slot(&mut self, vm: usize, slot: SlotKind) {
@@ -2194,7 +2048,8 @@ impl<'a> Engine<'a> {
                 self.release_tid(loser.tid);
                 self.release_slot(loser.vm as usize, loser.slot);
                 let job = loser.job;
-                self.push_trace(job, loser.vm, loser.slot, TaskEventKind::Killed);
+                self.obs
+                    .task(self.clock, job, loser.vm, loser.slot, TaskEventKind::Killed);
                 self.jobs[job].active -= 1;
                 self.jobs[job].kills += 1;
                 self.push_affected(job);
@@ -2234,7 +2089,8 @@ impl<'a> Engine<'a> {
             self.release_tid(task.tid);
             self.release_slot(task.vm as usize, task.slot);
             let job = task.job;
-            self.push_trace(job, task.vm, task.slot, TaskEventKind::Finished);
+            self.obs
+                .task(self.clock, job, task.vm, task.slot, TaskEventKind::Finished);
             self.jobs[job].active -= 1;
             if task.speculated {
                 self.st.winners.push((task.uid, task.backup_of));
@@ -2317,7 +2173,8 @@ impl<'a> Engine<'a> {
         let job = task.job;
         self.jobs[job].active -= 1;
         self.jobs[job].failures += 1;
-        self.push_trace(job, task.vm, task.slot, TaskEventKind::Failed);
+        self.obs
+            .task(self.clock, job, task.vm, task.slot, TaskEventKind::Failed);
         self.push_affected(job);
         if task.speculated && self.twin_index(task.uid, task.backup_of).is_some() {
             // The surviving copy carries the work; no retry needed.
@@ -2498,7 +2355,6 @@ pub(crate) fn arm_stages_with(
 }
 
 /// [`arm_stages_with`] on a boxed [`RunningTask`] (reference stepper).
-#[cfg(feature = "reference-engine")]
 pub(crate) fn arm_task_with(plan: &FaultPlan, rng: &mut StdRng, task: &mut RunningTask) {
     let total = task
         .template
@@ -2530,11 +2386,6 @@ pub(crate) fn nan_zero(x: f64) -> f64 {
     }
 }
 
-/// Convenience: ids of all jobs in the engine's table (test helper).
-pub fn job_ids(jobs: &[JobRun]) -> Vec<JobId> {
-    jobs.iter().map(|j| j.job.id).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2545,7 +2396,7 @@ mod tests {
     use cast_cloud::Catalog;
     use cast_workload::apps::AppKind;
     use cast_workload::dataset::DatasetId;
-    use cast_workload::job::Job;
+    use cast_workload::job::{Job, JobId};
     use cast_workload::profile::ProfileSet;
 
     pub(crate) fn cfg(nvm: usize) -> SimConfig {
@@ -2558,11 +2409,20 @@ mod tests {
         c
     }
 
-    fn run(app: AppKind, gb: f64, tier: Tier, c: &SimConfig) -> SimReport {
+    /// One `app` job over `gb` of input, placed entirely on `tier`.
+    fn one_job(app: AppKind, gb: f64, tier: Tier) -> Vec<JobRun> {
         let profiles = ProfileSet::defaults();
         let job = Job::with_default_layout(JobId(0), app, DatasetId(0), DataSize::from_gb(gb));
-        let jr = JobRun::new(job, JobPlacement::all_on(tier), *profiles.get(app), vec![]);
-        Engine::new(c, vec![jr]).run().unwrap()
+        vec![JobRun::new(
+            job,
+            JobPlacement::all_on(tier),
+            *profiles.get(app),
+            vec![],
+        )]
+    }
+
+    fn run(app: AppKind, gb: f64, tier: Tier, c: &SimConfig) -> SimReport {
+        Engine::new(c, one_job(app, gb, tier)).run().unwrap()
     }
 
     pub(crate) fn try_run(
@@ -2571,10 +2431,53 @@ mod tests {
         tier: Tier,
         c: &SimConfig,
     ) -> Result<SimReport, SimError> {
-        let profiles = ProfileSet::defaults();
-        let job = Job::with_default_layout(JobId(0), app, DatasetId(0), DataSize::from_gb(gb));
-        let jr = JobRun::new(job, JobPlacement::all_on(tier), *profiles.get(app), vec![]);
-        Engine::new(c, vec![jr]).run()
+        Engine::new(c, one_job(app, gb, tier)).run()
+    }
+
+    /// One `task` event of a recorded run.
+    #[derive(Debug, PartialEq)]
+    struct Edge {
+        t: f64,
+        vm: u32,
+        slot: String,
+        kind: String,
+    }
+
+    impl Edge {
+        /// Whether the edge puts a task onto a slot.
+        fn opens(&self) -> bool {
+            matches!(self.kind.as_str(), "started" | "retried" | "speculated")
+        }
+    }
+
+    fn count(edges: &[Edge], kind: &str) -> usize {
+        edges.iter().filter(|e| e.kind == kind).count()
+    }
+
+    /// [`try_run`] on a recording collector, also returning the run's
+    /// `task` events in emission order.
+    fn try_run_edges(
+        app: AppKind,
+        gb: f64,
+        tier: Tier,
+        c: &SimConfig,
+    ) -> Result<(SimReport, Vec<Edge>), SimError> {
+        let col = Collector::recording();
+        let report = Engine::observed(c, one_job(app, gb, tier), col.clone()).run()?;
+        let edges = col
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.body {
+                EventBody::Task { vm, slot, kind, .. } => Some(Edge {
+                    t: e.t,
+                    vm,
+                    slot,
+                    kind,
+                }),
+                _ => None,
+            })
+            .collect();
+        Ok((report, edges))
     }
 
     #[test]
@@ -2854,17 +2757,18 @@ mod tests {
     fn deterministic_under_faults() {
         let mut c = cfg(2);
         c.faults = FaultPlan::with_task_failures(0.3);
-        c.collect_trace = true;
-        let a = run(AppKind::Sort, 10.0, Tier::PersSsd, &c);
-        let b = run(AppKind::Sort, 10.0, Tier::PersSsd, &c);
-        assert_eq!(a, b, "same plan + seed must be bit-identical");
-        assert!(a.faults.task_failures > 0, "p=0.3 should hit some tasks");
+        let a = try_run_edges(AppKind::Sort, 10.0, Tier::PersSsd, &c).unwrap();
+        let b = try_run_edges(AppKind::Sort, 10.0, Tier::PersSsd, &c).unwrap();
+        assert_eq!(
+            a, b,
+            "same plan + seed must give identical reports and task edges"
+        );
+        assert!(a.0.faults.task_failures > 0, "p=0.3 should hit some tasks");
     }
 
     #[test]
     fn task_failures_are_retried_to_completion() {
         let mut c = cfg(1);
-        c.collect_trace = true;
         let baseline = run(AppKind::Grep, 10.0, Tier::PersSsd, &c);
         c.faults = FaultPlan {
             // High failure rate with a budget deep enough that no task
@@ -2872,7 +2776,7 @@ mod tests {
             max_task_attempts: 8,
             ..FaultPlan::with_task_failures(0.5)
         };
-        let faulted = run(AppKind::Grep, 10.0, Tier::PersSsd, &c);
+        let (faulted, edges) = try_run_edges(AppKind::Grep, 10.0, Tier::PersSsd, &c).unwrap();
         assert!(faulted.faults.task_failures > 0);
         // Without crashes or speculation every failure schedules a retry.
         assert_eq!(faulted.faults.retries, faulted.faults.task_failures);
@@ -2882,15 +2786,11 @@ mod tests {
             faulted.makespan,
             baseline.makespan
         );
-        let trace = faulted.trace.as_ref().unwrap();
         assert_eq!(
-            trace.count(TaskEventKind::Failed),
+            count(&edges, "failed"),
             faulted.faults.task_failures as usize
         );
-        assert_eq!(
-            trace.count(TaskEventKind::Retried),
-            faulted.faults.retries as usize
-        );
+        assert_eq!(count(&edges, "retried"), faulted.faults.retries as usize);
         // Per-job counters roll up to the summary.
         let m = &faulted.jobs[0];
         assert_eq!(m.failures, faulted.faults.task_failures);
@@ -2925,7 +2825,6 @@ mod tests {
     fn vm_crash_finishes_via_reexecution() {
         let mut c = cfg(2);
         let baseline = run(AppKind::Grep, 10.0, Tier::PersSsd, &c);
-        c.collect_trace = true;
         c.faults = FaultPlan {
             vm_crashes: vec![VmCrash {
                 vm: 0,
@@ -2934,14 +2833,13 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let r = try_run(AppKind::Grep, 10.0, Tier::PersSsd, &c)
+        let (r, edges) = try_run_edges(AppKind::Grep, 10.0, Tier::PersSsd, &c)
             .expect("crash must be survivable, not a stall");
         assert_eq!(r.faults.vm_crashes, 1);
         assert!(r.faults.kills > 0, "resident tasks must be killed");
         assert!(r.faults.retries > 0, "killed tasks must be re-executed");
-        let trace = r.trace.as_ref().unwrap();
-        assert!(trace.count(TaskEventKind::Killed) > 0);
-        assert!(trace.count(TaskEventKind::Retried) > 0);
+        assert!(count(&edges, "killed") > 0);
+        assert!(count(&edges, "retried") > 0);
         assert!(
             r.makespan.secs() > baseline.makespan.secs(),
             "half the cluster is gone: {} vs {}",
@@ -2949,10 +2847,9 @@ mod tests {
             baseline.makespan
         );
         // Nothing ran on the dead VM after the crash.
-        assert!(trace
-            .events
+        assert!(edges
             .iter()
-            .filter(|e| e.time > 5.0 + 1e-9 && e.kind.opens())
+            .filter(|e| e.t > 5.0 + 1e-9 && e.opens())
             .all(|e| e.vm != 0));
     }
 
@@ -2967,15 +2864,10 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        c.collect_trace = true;
-        let r = run(AppKind::Sort, 20.0, Tier::PersSsd, &c);
-        let trace = r.trace.as_ref().unwrap();
+        let (_, edges) = try_run_edges(AppKind::Sort, 20.0, Tier::PersSsd, &c).unwrap();
         // Work lands on VM 0 again after recovery at t=25.
         assert!(
-            trace
-                .events
-                .iter()
-                .any(|e| e.vm == 0 && e.time > 25.0 && e.kind.opens()),
+            edges.iter().any(|e| e.vm == 0 && e.t > 25.0 && e.opens()),
             "recovered VM must take tasks again"
         );
     }
@@ -3055,12 +2947,11 @@ mod tests {
         without.faults = slow_vm.clone();
         let stuck = run(AppKind::Grep, 2.0, Tier::PersSsd, &without);
         let mut with = cfg(2);
-        with.collect_trace = true;
         with.faults = FaultPlan {
             speculation_threshold: 0.5,
             ..slow_vm
         };
-        let rescued = run(AppKind::Grep, 2.0, Tier::PersSsd, &with);
+        let (rescued, edges) = try_run_edges(AppKind::Grep, 2.0, Tier::PersSsd, &with).unwrap();
         assert!(rescued.faults.speculations > 0, "backups must launch");
         assert!(rescued.faults.kills > 0, "a race must have a loser");
         assert!(
@@ -3069,9 +2960,8 @@ mod tests {
             rescued.makespan,
             stuck.makespan
         );
-        let trace = rescued.trace.as_ref().unwrap();
         assert_eq!(
-            trace.count(TaskEventKind::Speculated),
+            count(&edges, "speculated"),
             rescued.faults.speculations as usize
         );
     }
@@ -3082,7 +2972,6 @@ mod tests {
         // kill, but the dead VM must never take work and the job must
         // still finish on the survivor.
         let mut c = cfg(2);
-        c.collect_trace = true;
         c.faults = FaultPlan {
             vm_crashes: vec![VmCrash {
                 vm: 0,
@@ -3091,17 +2980,13 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let r = try_run(AppKind::Grep, 10.0, Tier::PersSsd, &c)
+        let (r, edges) = try_run_edges(AppKind::Grep, 10.0, Tier::PersSsd, &c)
             .expect("a boot-time crash must be survivable");
         assert_eq!(r.faults.vm_crashes, 1);
         assert_eq!(r.faults.kills, 0, "no resident tasks to kill at t=0");
-        let trace = r.trace.as_ref().unwrap();
+        assert!(edges.iter().any(Edge::opens), "the survivor must run tasks");
         assert!(
-            trace
-                .events
-                .iter()
-                .filter(|e| e.kind.opens())
-                .all(|e| e.vm != 0),
+            edges.iter().filter(|e| e.opens()).all(|e| e.vm != 0),
             "dead-from-boot VM must never open a task"
         );
         // One VM doing all the work is slower than two.
@@ -3206,7 +3091,7 @@ mod scratch_tests {
     use cast_cloud::units::DataSize;
     use cast_workload::apps::AppKind;
     use cast_workload::dataset::DatasetId;
-    use cast_workload::job::Job;
+    use cast_workload::job::{Job, JobId};
     use cast_workload::profile::ProfileSet;
 
     fn jobs(n: usize) -> Vec<JobRun> {

@@ -212,8 +212,11 @@ impl JobRun {
         };
         // `src == dst` is intentional work, not a no-op: the durability
         // layer models erasure-reconstruction and repair traffic as a
-        // read+write stream over the same tier's volumes.
-        let dst = self.placement.input.primary();
+        // read+write stream over the same tier's volumes. An input split
+        // with no parts has no tier to stage onto.
+        let Some(dst) = self.placement.input.primary() else {
+            return Vec::new();
+        };
         let bytes = self
             .placement
             .stage_in_bytes

@@ -52,19 +52,17 @@ pub mod jobrun;
 pub mod metrics;
 pub mod par;
 pub mod placement;
-#[cfg(feature = "reference-engine")]
 pub mod reference;
 pub mod resources;
 pub mod runner;
 pub mod sim;
 mod soa;
 pub mod task;
-pub mod trace;
 pub mod whatif;
 
 pub use config::SimConfig;
 pub use durability::{DurabilityReport, ShardState};
-pub use engine::{Engine, EngineScratch, EngineSnapshot, EngineStats, RunState, SNAPSHOT_VERSION};
+pub use engine::{Engine, EngineScratch, EngineSnapshot, EngineStats, RunState};
 pub use error::SimError;
 pub use fault::{DegradationWindow, FaultPlan, ShardKill, VmCrash};
 pub use metrics::{FaultSummary, JobMetrics, SimReport};

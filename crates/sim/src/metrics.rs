@@ -77,9 +77,6 @@ pub struct SimReport {
     pub makespan: Duration,
     /// Fault-injection totals (all-zero for fault-free runs).
     pub faults: FaultSummary,
-    /// Per-task execution trace, when
-    /// [`crate::config::SimConfig::collect_trace`] was set.
-    pub trace: Option<crate::trace::Trace>,
 }
 
 impl SimReport {
@@ -146,7 +143,6 @@ mod tests {
             jobs: vec![metrics(0, 0.0, 50.0), metrics(1, 50.0, 120.0)],
             makespan: Duration::from_secs(120.0),
             faults: FaultSummary::default(),
-            trace: None,
         };
         assert!((report.total_runtime().secs() - 120.0).abs() < 1e-9);
         assert!(report.job(JobId(1)).is_some());
@@ -159,7 +155,6 @@ mod tests {
             jobs: vec![metrics(0, 0.0, 50.0), metrics(1, 50.0, 120.0)],
             makespan: Duration::from_secs(120.0),
             faults: FaultSummary::default(),
-            trace: None,
         };
         let wf = report.workflow_completion(&[JobId(0), JobId(1)]).unwrap();
         assert!((wf.secs() - 120.0).abs() < 1e-9);

@@ -51,13 +51,13 @@ impl SplitPlacement {
     }
 
     /// The tier holding the largest share (the "primary" tier), under
-    /// `f64` total order so a NaN fraction cannot panic.
-    pub fn primary(&self) -> Tier {
+    /// `f64` total order so a NaN fraction cannot panic; `None` when
+    /// `parts` is empty.
+    pub fn primary(&self) -> Option<Tier> {
         self.parts
             .iter()
             .max_by(|x, y| x.1.total_cmp(&y.1))
             .map(|&(t, _)| t)
-            .expect("placement has at least one part")
     }
 
     /// Whether fractions sum to 1 (±1e-6) and are each in `[0, 1]`.
@@ -129,8 +129,9 @@ impl JobPlacement {
         }
     }
 
-    /// Primary tier of the job (where CAST accounts its capacity).
-    pub fn primary(&self) -> Tier {
+    /// Primary tier of the job (where CAST accounts its capacity);
+    /// `None` when the input split has no parts.
+    pub fn primary(&self) -> Option<Tier> {
         self.input.primary()
     }
 }
@@ -190,16 +191,16 @@ mod tests {
     fn single_placement_is_valid() {
         let p = SplitPlacement::single(Tier::PersSsd);
         assert!(p.is_valid());
-        assert_eq!(p.primary(), Tier::PersSsd);
+        assert_eq!(p.primary(), Some(Tier::PersSsd));
     }
 
     #[test]
     fn split_placement_math() {
         let p = SplitPlacement::split(Tier::EphSsd, 0.9, Tier::PersHdd).unwrap();
         assert!(p.is_valid());
-        assert_eq!(p.primary(), Tier::EphSsd);
+        assert_eq!(p.primary(), Some(Tier::EphSsd));
         let q = SplitPlacement::split(Tier::EphSsd, 0.3, Tier::PersHdd).unwrap();
-        assert_eq!(q.primary(), Tier::PersHdd);
+        assert_eq!(q.primary(), Some(Tier::PersHdd));
     }
 
     #[test]
@@ -229,7 +230,7 @@ mod tests {
             parts: vec![(Tier::EphSsd, f64::NAN), (Tier::PersHdd, 0.5)],
         };
         assert!(!p.is_valid());
-        assert!([Tier::EphSsd, Tier::PersHdd].contains(&p.primary()));
+        assert!([Tier::EphSsd, Tier::PersHdd].contains(&p.primary().unwrap()));
     }
 
     #[test]
@@ -238,6 +239,9 @@ mod tests {
             parts: vec![(Tier::EphSsd, 0.5), (Tier::PersSsd, 0.2)],
         };
         assert!(!p.is_valid());
+        let empty = SplitPlacement { parts: Vec::new() };
+        assert!(!empty.is_valid());
+        assert_eq!(empty.primary(), None);
     }
 
     #[test]
@@ -269,7 +273,7 @@ mod tests {
         let mut m = PlacementMap::uniform([JobId(0), JobId(1)], Tier::PersHdd);
         assert_eq!(m.len(), 2);
         m.set(JobId(1), JobPlacement::all_on(Tier::EphSsd));
-        assert_eq!(m.get(JobId(1)).unwrap().primary(), Tier::EphSsd);
+        assert_eq!(m.get(JobId(1)).unwrap().primary(), Some(Tier::EphSsd));
         assert!(m.get(JobId(9)).is_none());
     }
 }

@@ -3,11 +3,11 @@
 //! [`ReferenceEngine`] recomputes *every* streaming task's rate and
 //! advances *every* active task on *every* event — O(events × active
 //! tasks) overall. It is the original engine implementation, preserved
-//! behind the `reference-engine` feature so the event-driven
-//! [`crate::engine::Engine`] can be checked against it: across randomized
-//! specs, placements and fault plans the two must agree within 1e-6
-//! relative on makespan and per-job phase times (see
-//! `tests/engine_equivalence.rs`).
+//! so the event-driven [`crate::engine::Engine`] can be checked against
+//! it: across randomized specs, placements and fault plans the two must
+//! agree within 1e-6 relative on makespan and per-job phase times (see
+//! `tests/engine_equivalence.rs`). Only tests call it, so release
+//! binaries do not contain it.
 //!
 //! Semantics are documented on [`crate::engine`]; this module only
 //! differs in *how* time is advanced, never in *what* is simulated. Keep
@@ -15,19 +15,17 @@
 //! arming, speculation policy) in lockstep when editing either.
 
 use cast_obs::{Collector, EventBody};
-use cast_workload::job::JobId;
 
 use crate::config::{Concurrency, SimConfig};
 use crate::engine::{
-    attempt_rng, nan_zero, pick_vm, stage_tier, task_kind_label, FaultEventKind, FaultState,
-    RetryEntry, SimObs, BACKUP_BIT, CONTENTION_STRIDE, EPS,
+    attempt_rng, nan_zero, pick_vm, stage_tier, FaultEventKind, FaultState, RetryEntry, SimObs,
+    TaskEventKind, BACKUP_BIT, CONTENTION_STRIDE, EPS,
 };
 use crate::error::SimError;
 use crate::jobrun::{JobPhase, JobRun};
 use crate::metrics::{FaultSummary, JobMetrics, SimReport};
 use crate::resources::ShareRegistry;
 use crate::task::{RunningTask, SlotKind};
-use crate::trace::{TaskEvent, TaskEventKind, Trace};
 use cast_cloud::units::Duration;
 
 /// The original O(events × active tasks) stepper. Construct with
@@ -42,7 +40,6 @@ pub struct ReferenceEngine<'a> {
     free_red: Vec<usize>,
     clock: f64,
     dispatch_cursor: usize,
-    trace: Option<Trace>,
     fault: FaultState,
     obs: SimObs,
     steps_done: u64,
@@ -71,7 +68,6 @@ impl<'a> ReferenceEngine<'a> {
             free_red: vec![cfg.vm.reduce_slots; cfg.nvm],
             clock: 0.0,
             dispatch_cursor: 0,
-            trace: cfg.collect_trace.then(Trace::default),
             fault,
             obs: SimObs::new(collector),
             steps_done: 0,
@@ -150,7 +146,6 @@ impl<'a> ReferenceEngine<'a> {
             jobs: metrics,
             makespan: Duration::from_secs(self.clock),
             faults,
-            trace: self.trace,
         };
         Ok((
             report,
@@ -260,7 +255,8 @@ impl<'a> ReferenceEngine<'a> {
                     SlotKind::Reduce => self.free_red[vm] -= 1,
                     SlotKind::Transfer => {}
                 }
-                self.push_trace(i, vm as u32, tmpl.slot, TaskEventKind::Started);
+                self.obs
+                    .task(self.clock, i, vm as u32, tmpl.slot, TaskEventKind::Started);
                 let mut task = RunningTask::bind(i, vm as u32, &tmpl);
                 if self.fault.enabled {
                     let seq = self.fault.seq[i];
@@ -327,7 +323,13 @@ impl<'a> ReferenceEngine<'a> {
                 SlotKind::Reduce => self.free_red[vm] -= 1,
                 SlotKind::Transfer => {}
             }
-            self.push_trace(entry.job, vm as u32, slot, TaskEventKind::Retried);
+            self.obs.task(
+                self.clock,
+                entry.job,
+                vm as u32,
+                slot,
+                TaskEventKind::Retried,
+            );
             let mut task = RunningTask::bind(entry.job, vm as u32, &entry.template);
             task.uid = entry.uid;
             task.attempt = entry.attempt;
@@ -417,7 +419,8 @@ impl<'a> ReferenceEngine<'a> {
             let job = self.tasks[i].job;
             let orig_uid = self.tasks[i].uid;
             self.tasks[i].speculated = true;
-            self.push_trace(job, vm as u32, slot, TaskEventKind::Speculated);
+            self.obs
+                .task(self.clock, job, vm as u32, slot, TaskEventKind::Speculated);
             let mut backup = RunningTask::bind(job, vm as u32, &tmpl);
             backup.uid = orig_uid | BACKUP_BIT;
             backup.attempt = self.tasks[i].attempt;
@@ -500,7 +503,13 @@ impl<'a> ReferenceEngine<'a> {
             let job = victim.job;
             self.jobs[job].active -= 1;
             self.jobs[job].kills += 1;
-            self.push_trace(job, victim.vm, victim.slot, TaskEventKind::Killed);
+            self.obs.task(
+                self.clock,
+                job,
+                victim.vm,
+                victim.slot,
+                TaskEventKind::Killed,
+            );
             if victim.speculated && self.twin_index(victim.uid, victim.backup_of).is_some() {
                 // The surviving copy carries the work.
                 continue;
@@ -566,30 +575,6 @@ impl<'a> ReferenceEngine<'a> {
             job,
             phase,
             tier,
-        }
-    }
-
-    fn push_trace(&mut self, job: usize, vm: u32, slot: SlotKind, kind: TaskEventKind) {
-        let id = self.jobs[job].job.id;
-        if let Some(trace) = self.trace.as_mut() {
-            trace.events.push(TaskEvent {
-                time: self.clock,
-                job: id,
-                vm,
-                slot,
-                kind,
-            });
-        }
-        self.obs.task_counter(kind).inc();
-        if self.obs.col.enabled() {
-            self.obs.col.emit(
-                self.clock,
-                EventBody::Task {
-                    job: job as u32,
-                    vm,
-                    kind: task_kind_label(kind).to_string(),
-                },
-            );
         }
     }
 
@@ -712,7 +697,8 @@ impl<'a> ReferenceEngine<'a> {
                 let task = self.tasks.swap_remove(idx);
                 self.release_slot(task.vm as usize, task.slot);
                 let job = task.job;
-                self.push_trace(job, task.vm, task.slot, TaskEventKind::Finished);
+                self.obs
+                    .task(self.clock, job, task.vm, task.slot, TaskEventKind::Finished);
                 self.jobs[job].active -= 1;
                 if task.speculated {
                     winners.push((task.uid, task.backup_of));
@@ -727,7 +713,8 @@ impl<'a> ReferenceEngine<'a> {
                 let loser = self.tasks.swap_remove(k);
                 self.release_slot(loser.vm as usize, loser.slot);
                 let job = loser.job;
-                self.push_trace(job, loser.vm, loser.slot, TaskEventKind::Killed);
+                self.obs
+                    .task(self.clock, job, loser.vm, loser.slot, TaskEventKind::Killed);
                 self.jobs[job].active -= 1;
                 self.jobs[job].kills += 1;
             }
@@ -752,7 +739,8 @@ impl<'a> ReferenceEngine<'a> {
         let job = task.job;
         self.jobs[job].active -= 1;
         self.jobs[job].failures += 1;
-        self.push_trace(job, task.vm, task.slot, TaskEventKind::Failed);
+        self.obs
+            .task(self.clock, job, task.vm, task.slot, TaskEventKind::Failed);
         if task.speculated && self.twin_index(task.uid, task.backup_of).is_some() {
             // The surviving copy carries the work; no retry needed.
             return Ok(());
@@ -777,9 +765,4 @@ impl<'a> ReferenceEngine<'a> {
         });
         Ok(())
     }
-}
-
-/// Convenience: ids of all jobs in the engine's table (test helper).
-pub fn job_ids(jobs: &[JobRun]) -> Vec<JobId> {
-    jobs.iter().map(|j| j.job.id).collect()
 }

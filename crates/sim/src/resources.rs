@@ -16,7 +16,7 @@
 //!
 //! * the *batch* API ([`ShareRegistry::clear_counts`] +
 //!   [`ShareRegistry::register`]) rebuilds loads from scratch each step —
-//!   used by the feature-gated reference stepper;
+//!   used by the reference stepper;
 //! * the *incremental* API ([`ShareRegistry::register_flow`] /
 //!   [`ShareRegistry::unregister_flow`]) keeps per-resource flow lists and
 //!   a dirty-set so the event-driven engine can recompute only the tasks
@@ -100,7 +100,7 @@ pub struct MovedFlow {
 }
 
 /// Tracks capacity and aggregate flow demand for every resource.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ShareRegistry {
     caps: Vec<f64>,
     /// Memoized `caps / load` per resource (`+inf` when unloaded),
@@ -127,36 +127,6 @@ pub struct ShareRegistry {
     tier_demand: [f64; NTIERS],
     /// Running per-tier capacity across VM volumes.
     tier_cap: [f64; NTIERS],
-}
-
-/// Hand-written so `clone_from` reuses every buffer — including the
-/// per-resource flow lists — making engine-state restore on a prepared
-/// scratch allocation-free (`Flow` is `Copy`, so each inner `clone_from`
-/// is a memcpy).
-impl Clone for ShareRegistry {
-    fn clone(&self) -> Self {
-        let mut r = ShareRegistry::empty();
-        r.clone_from(self);
-        r
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        self.caps.clone_from(&src.caps);
-        self.unit_cache.clone_from(&src.unit_cache);
-        self.base.clone_from(&src.base);
-        self.load.clone_from(&src.load);
-        self.flows.truncate(src.flows.len());
-        for (dst, s) in self.flows.iter_mut().zip(&src.flows) {
-            dst.clone_from(s);
-        }
-        for s in &src.flows[self.flows.len()..] {
-            self.flows.push(s.clone());
-        }
-        self.dirty.clone_from(&src.dirty);
-        self.dirty_list.clone_from(&src.dirty_list);
-        self.tier_demand = src.tier_demand;
-        self.tier_cap = src.tier_cap;
-    }
 }
 
 impl ShareRegistry {
@@ -395,7 +365,9 @@ impl ShareRegistry {
         self.unregister_flow(FlowHandle { res, pos })
     }
 
-    /// Index-addressed form of [`ShareRegistry::retarget_flow`].
+    /// Re-point the flow at position `pos` of resource `res` at a new
+    /// owning task index (after the engine swap-removes a task). Load is
+    /// unchanged.
     #[inline]
     pub(crate) fn retarget_flow_at(&mut self, res: u32, pos: u32, task: u32) {
         self.flows[res as usize][pos as usize].task = task;
@@ -433,13 +405,6 @@ impl ShareRegistry {
             from,
             to: handle.pos,
         })
-    }
-
-    /// Re-point the flow behind `handle` at a new owning task index
-    /// (after the engine swap-removes a task). Load is unchanged.
-    #[inline]
-    pub fn retarget_flow(&mut self, handle: FlowHandle, task: u32) {
-        self.flows[handle.res as usize][handle.pos as usize].task = task;
     }
 
     /// Whether any resource changed since the last drain.

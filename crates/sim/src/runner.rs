@@ -131,7 +131,10 @@ pub fn prepare_runs(
             for &p in &parents {
                 deps.push(index_of[&p]);
             }
-            let own_in = placement.input.primary();
+            let own_in = placement
+                .input
+                .primary()
+                .expect("validate_placement rejects empty splits");
             // Output pipelining (§3.1.3 / Eq. 9): an interior job writes
             // its output directly to the tier its (dominant) consumer
             // reads from, instead of persisting it through the backing
@@ -142,7 +145,8 @@ pub fn prepare_runs(
                     .get(child)
                     .ok_or(SimError::MissingPlacement(child.0))?
                     .input
-                    .primary();
+                    .primary()
+                    .ok_or(SimError::InvalidSplit(child.0))?;
                 placement.output = child_tier;
                 placement.stage_out_to = None;
             }
@@ -311,6 +315,20 @@ mod tests {
             sort.stage_in.secs() > 0.0,
             "fresh input download must cost time"
         );
+    }
+
+    #[test]
+    fn empty_split_on_a_workflow_child_is_an_error() {
+        // Job 0 reads its first child's input tier before job 1's own
+        // placement is validated.
+        let spec = synth::fig4_workflow();
+        let cfg = full_cfg(4);
+        let mut placements = PlacementMap::uniform(spec.jobs.iter().map(|j| j.id), Tier::PersSsd);
+        let mut empty = JobPlacement::all_on(Tier::PersSsd);
+        empty.input.parts.clear();
+        placements.set(JobId(1), empty);
+        let err = simulate(&spec, &placements, &cfg).unwrap_err();
+        assert_eq!(err, SimError::InvalidSplit(1));
     }
 
     #[test]

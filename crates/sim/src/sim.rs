@@ -185,25 +185,9 @@ impl<'a> Sim<'a> {
         self.engine.snapshot()
     }
 
-    /// Current simulated time.
-    pub fn clock(&self) -> f64 {
-        self.engine.clock()
-    }
-
     /// What the durability pre-pass found, when the builder enabled it.
     pub fn durability(&self) -> Option<&DurabilityReport> {
         self.durability.as_ref()
-    }
-
-    /// The underlying engine, for snapshot/fork orchestration that needs
-    /// engine-level APIs ([`Engine::set_placement`], [`Engine::jobs`]).
-    pub fn engine(&self) -> &Engine<'a> {
-        &self.engine
-    }
-
-    /// Mutable access to the underlying engine.
-    pub fn engine_mut(&mut self) -> &mut Engine<'a> {
-        &mut self.engine
     }
 }
 

@@ -49,7 +49,7 @@ pub(crate) const NO_HEAP: u32 = u32::MAX;
 
 /// Struct-of-arrays task state; all columns are index-parallel and
 /// swap-removed in lockstep.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct TaskTable {
     // ---- identity (written at spawn) ----
     pub job: Vec<u32>,
@@ -96,52 +96,6 @@ pub(crate) struct TaskTable {
     pub registered: Vec<bool>,
     /// Dedup flag for the dirty drain (false outside `flush_dirty`).
     pub dirty: Vec<bool>,
-}
-
-/// Hand-written so `clone_from` reuses every column's capacity (the
-/// derive's `clone_from` falls back to clone-and-assign, which would
-/// re-allocate on the snapshot/fork resume path).
-impl Clone for TaskTable {
-    fn clone(&self) -> Self {
-        let mut t = TaskTable::default();
-        t.clone_from(self);
-        t
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        self.job.clone_from(&src.job);
-        self.vm.clone_from(&src.vm);
-        self.slot.clone_from(&src.slot);
-        self.uid.clone_from(&src.uid);
-        self.attempt.clone_from(&src.attempt);
-        self.backup_of.clone_from(&src.backup_of);
-        self.speculated.clone_from(&src.speculated);
-        self.doom.clone_from(&src.doom);
-        self.template.clone_from(&src.template);
-        self.stage.clone_from(&src.stage);
-        self.nstages.clone_from(&src.nstages);
-        // Elementwise so surviving inner buffers keep their capacity
-        // (`BoundStage` is `Copy`, so the inner `clone_from` is a memcpy).
-        self.stage_buf.truncate(src.stage_buf.len());
-        for (dst, s) in self.stage_buf.iter_mut().zip(&src.stage_buf) {
-            dst.clone_from(s);
-        }
-        for s in &src.stage_buf[self.stage_buf.len()..] {
-            self.stage_buf.push(s.clone());
-        }
-        self.fixed.clone_from(&src.fixed);
-        self.units.clone_from(&src.units);
-        self.cap.clone_from(&src.cap);
-        self.part_res.clone_from(&src.part_res);
-        self.part_w.clone_from(&src.part_w);
-        self.rate.clone_from(&src.rate);
-        self.anchor.clone_from(&src.anchor);
-        self.predicted.clone_from(&src.predicted);
-        self.heap_pos.clone_from(&src.heap_pos);
-        self.flow_pos.clone_from(&src.flow_pos);
-        self.registered.clone_from(&src.registered);
-        self.dirty.clone_from(&src.dirty);
-    }
 }
 
 impl TaskTable {
@@ -314,34 +268,11 @@ impl TaskTable {
 /// the count) instead of cloning. Freed slots are recycled — the old
 /// template is dropped only when a new one overwrites its slot, so the
 /// arena's footprint is bounded by the peak live-task count.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct TemplateArena {
     slots: Vec<TaskTemplate>,
     refs: Vec<u32>,
     free: Vec<u32>,
-}
-
-/// Hand-written for the same reason as [`TaskTable`]'s impl: slab slots
-/// that survive the copy keep their stage-spec capacity.
-impl Clone for TemplateArena {
-    fn clone(&self) -> Self {
-        let mut a = TemplateArena::default();
-        a.clone_from(self);
-        a
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        self.slots.truncate(src.slots.len());
-        for (dst, s) in self.slots.iter_mut().zip(&src.slots) {
-            dst.slot = s.slot;
-            dst.stages.clone_from(&s.stages);
-        }
-        for s in &src.slots[self.slots.len()..] {
-            self.slots.push(s.clone());
-        }
-        self.refs.clone_from(&src.refs);
-        self.free.clone_from(&src.free);
-    }
 }
 
 impl TemplateArena {

@@ -5,6 +5,7 @@
 use cast_cloud::tier::{PerTier, Tier};
 use cast_cloud::units::DataSize;
 use cast_cloud::Catalog;
+use cast_obs::{Collector, EventBody};
 use cast_sim::config::{Concurrency, SimConfig};
 use cast_sim::metrics::SimReport;
 use cast_sim::placement::{JobPlacement, PlacementMap};
@@ -210,28 +211,49 @@ fn empty_workload_completes_instantly() {
 #[test]
 fn trace_accounts_every_task() {
     let spec = synth::single_job(AppKind::Sort, DataSize::from_gb(10.0));
-    let mut cfg = cfg_with(2, 500.0);
-    cfg.collect_trace = true;
+    let cfg = cfg_with(2, 500.0);
     let placements = PlacementMap::uniform([JobId(0)], Tier::PersSsd);
-    let report = simulate(&spec, &placements, &cfg).expect("sim");
-    let trace = report.trace.as_ref().expect("trace collected");
-    use cast_sim::task::SlotKind;
+    let col = Collector::recording();
+    let report = Sim::builder(&cfg)
+        .jobs(&spec, &placements)
+        .collector(col.clone())
+        .build()
+        .and_then(|s| s.run())
+        .expect("sim");
+    let events = col.events();
     let job = &spec.jobs[0];
-    assert_eq!(trace.task_count(SlotKind::Map), job.maps);
-    assert_eq!(trace.task_count(SlotKind::Reduce), job.reduces);
-    // Busy time fits within the slot budget over the makespan.
-    let map_util = trace.utilization(SlotKind::Map, cfg.map_slots(), report.makespan.secs());
-    assert!(map_util > 0.0 && map_util <= 1.0, "{map_util}");
-    // Peak concurrency never exceeds the slot pool.
-    assert!(trace.peak_concurrency(SlotKind::Map) <= cfg.map_slots());
-    assert!(trace.peak_concurrency(SlotKind::Reduce) <= cfg.reduce_slots());
-}
-
-#[test]
-fn trace_is_off_by_default() {
-    let spec = synth::single_job(AppKind::Grep, DataSize::from_gb(5.0));
-    let cfg = cfg_with(1, 500.0);
-    let placements = PlacementMap::uniform([JobId(0)], Tier::PersSsd);
-    let report = simulate(&spec, &placements, &cfg).expect("sim");
-    assert!(report.trace.is_none());
+    for (pool, tasks, slots) in [
+        ("map", job.maps, cfg.map_slots()),
+        ("reduce", job.reduces, cfg.reduce_slots()),
+    ] {
+        let edges: Vec<(f64, &str)> = events
+            .iter()
+            .filter_map(|e| match &e.body {
+                EventBody::Task { slot, kind, .. } if slot == pool => Some((e.t, kind.as_str())),
+                _ => None,
+            })
+            .collect();
+        let started = edges.iter().filter(|&&(_, k)| k == "started").count();
+        assert_eq!(started, tasks, "{pool} tasks started");
+        // Every opening edge is closed by the end of the run, so busy
+        // slot-seconds are Σ close times − Σ open times, whatever the
+        // pairing.
+        let (mut busy, mut level, mut peak) = (0.0, 0usize, 0usize);
+        for &(t, kind) in &edges {
+            if matches!(kind, "started" | "retried" | "speculated") {
+                busy -= t;
+                level += 1;
+                peak = peak.max(level);
+            } else {
+                busy += t;
+                level -= 1;
+            }
+        }
+        assert_eq!(level, 0, "every {pool} task released its slot");
+        // Busy time fits within the slot budget over the makespan.
+        let util = busy / (slots as f64 * report.makespan.secs());
+        assert!(util > 0.0 && util <= 1.0, "{pool} utilization {util}");
+        // Peak concurrency never exceeds the slot pool.
+        assert!(peak <= slots, "{pool} peak {peak} > {slots} slots");
+    }
 }

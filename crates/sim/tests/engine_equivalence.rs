@@ -1,17 +1,14 @@
 //! Equivalence oracle: the event-driven engine against the reference
 //! stepper, plus determinism pins for the event-driven engine.
 //!
-//! The reference stepper ([`cast_sim::reference::ReferenceEngine`], behind
-//! the default-on `reference-engine` feature) recomputes every rate and
-//! advances every task on every event; the production engine
-//! ([`cast_sim::engine::Engine`]) does incremental work driven by the
-//! share registry's dirty-set and a completion heap. Both must simulate
-//! the same cluster: across randomized workloads, placements, cluster
-//! sizes and fault plans they agree within 1e-6 relative on makespan and
-//! per-job phase times, exactly on all fault counters, and on the error
-//! variant when a scenario fails.
-
-#![cfg(feature = "reference-engine")]
+//! The reference stepper ([`cast_sim::reference::ReferenceEngine`])
+//! recomputes every rate and advances every task on every event; the
+//! production engine ([`cast_sim::engine::Engine`]) does incremental work
+//! driven by the share registry's dirty-set and a completion heap. Both
+//! must simulate the same cluster: across randomized workloads,
+//! placements, cluster sizes and fault plans they agree within 1e-6
+//! relative on makespan and per-job phase times, exactly on all fault
+//! counters, and on the error variant when a scenario fails.
 
 use proptest::prelude::*;
 
@@ -70,7 +67,6 @@ fn build(scenario: &Scenario) -> (WorkloadSpec, PlacementMap, SimConfig) {
         SimConfig::with_aggregate_capacity(Catalog::google_cloud(), scenario.nvm, &agg).unwrap();
     cfg.jitter = scenario.jitter;
     cfg.concurrency = scenario.concurrency;
-    cfg.collect_trace = false;
     cfg.faults = FaultPlan {
         task_failure_prob: scenario.failure_prob,
         speculation_threshold: scenario.speculation,

@@ -59,7 +59,6 @@ fn build(rs: &RunSpec) -> (WorkloadSpec, PlacementMap, SimConfig) {
     }
     let mut cfg =
         SimConfig::with_aggregate_capacity(Catalog::google_cloud(), rs.nvm, &agg).unwrap();
-    cfg.collect_trace = false;
     cfg.faults = FaultPlan {
         task_failure_prob: rs.failure_prob,
         seed: rs.seed,

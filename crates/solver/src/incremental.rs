@@ -118,13 +118,6 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-impl CacheStats {
-    /// Total lookups observed.
-    pub fn lookups(&self) -> u64 {
-        self.ledger_hits + self.memo_hits + self.bw_hits + self.misses
-    }
-}
-
 /// Ledger key: the inputs that determine one job's `REG` runtime.
 type TimeKey = (u8, u64);
 
@@ -290,12 +283,6 @@ impl<'a> IncrementalEval<'a> {
     /// Current assignments in spec order.
     pub fn assignments(&self) -> &[Assignment] {
         &self.assignments
-    }
-
-    /// Overwrite every assignment from a spec-ordered snapshot (the
-    /// restart loop's "jump back to best" operation).
-    pub fn set_all(&mut self, assignments: &[Assignment]) {
-        self.assignments.copy_from_slice(assignments);
     }
 
     /// Apply a batch of assignment changes, pushing the displaced

@@ -335,7 +335,7 @@ mod tests {
         let s = spec();
         let p = TieringPlan::uniform(&s, Tier::EphSsd);
         let map = p.to_placements();
-        assert_eq!(map.get(JobId(0)).unwrap().primary(), Tier::EphSsd);
+        assert_eq!(map.get(JobId(0)).unwrap().primary(), Some(Tier::EphSsd));
         assert_eq!(
             map.get(JobId(0)).unwrap().stage_in_from,
             Some(Tier::ObjStore)
