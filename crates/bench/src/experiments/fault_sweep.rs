@@ -97,8 +97,7 @@ fn scenarios(makespan_hint_secs: f64) -> Vec<Scenario> {
 fn run_one(spec: &WorkloadSpec, placements: &PlacementMap, plan: &FaultPlan) -> SimReport {
     let mut cfg = cluster();
     cfg.faults = plan.clone();
-    Sim::builder(&cfg)
-        .jobs(spec, placements)
+    Sim::builder(&cfg, spec, placements)
         .collector(crate::harness::observer())
         .build()
         .and_then(|s| s.run())

@@ -32,8 +32,7 @@ pub fn observe(app: AppKind, input: DataSize, per_vm_gb: f64) -> f64 {
     let cfg = SimConfig::with_aggregate_capacity(Catalog::google_cloud(), NVM, &agg)
         .expect("valid capacity");
     let placements = PlacementMap::uniform(spec.jobs.iter().map(|j| j.id), Tier::PersSsd);
-    Sim::builder(&cfg)
-        .jobs(&spec, &placements)
+    Sim::builder(&cfg, &spec, &placements)
         .build()
         .and_then(|s| s.run())
         .expect("simulation")

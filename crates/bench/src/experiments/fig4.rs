@@ -88,8 +88,7 @@ pub fn evaluate_plans() -> Vec<(&'static str, f64, f64)> {
             .expect("provisionable");
             let report = {
                 let placements = plan.to_placements();
-                cast_sim::Sim::builder(&cfg)
-                    .jobs(&spec, &placements)
+                cast_sim::Sim::builder(&cfg, &spec, &placements)
                     .build()
                     .and_then(|s| s.run())
                     .expect("sim")

@@ -42,8 +42,7 @@ pub fn grep_runtime(input: SplitPlacement) -> f64 {
     placement.output = Tier::EphSsd;
     let mut placements = PlacementMap::new();
     placements.set(JobId(0), placement);
-    Sim::builder(&cfg)
-        .jobs(&spec, &placements)
+    Sim::builder(&cfg, &spec, &placements)
         .build()
         .and_then(|s| s.run())
         .expect("simulation")

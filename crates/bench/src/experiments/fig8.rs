@@ -43,8 +43,7 @@ pub fn observe(estimator: &Estimator, spec: &WorkloadSpec, per_vm_gb: f64) -> f6
     let cfg = SimConfig::with_aggregate_capacity(estimator.catalog.clone(), nvm, &agg)
         .expect("valid capacity");
     let placements = PlacementMap::uniform(spec.jobs.iter().map(|j| j.id), Tier::PersSsd);
-    Sim::builder(&cfg)
-        .jobs(spec, &placements)
+    Sim::builder(&cfg, spec, &placements)
         .build()
         .and_then(|s| s.run())
         .expect("simulation")

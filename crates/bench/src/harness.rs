@@ -268,8 +268,7 @@ pub fn single_run(
     let cfg = SimConfig::with_aggregate_capacity(catalog.clone(), nvm, &capacities)
         .expect("provisionable capacities");
     let placements = PlacementMap::uniform(spec.jobs.iter().map(|j| j.id), tier);
-    let first = Sim::builder(&cfg)
-        .jobs(&spec, &placements)
+    let first = Sim::builder(&cfg, &spec, &placements)
         .build()
         .and_then(|s| s.run())
         .expect("simulation");
@@ -286,8 +285,7 @@ pub fn single_run(
             placement.stage_in_from = None;
             p2.set(spec.jobs[0].id, placement);
         }
-        let rerun = Sim::builder(&cfg)
-            .jobs(&spec, &p2)
+        let rerun = Sim::builder(&cfg, &spec, &p2)
             .build()
             .and_then(|s| s.run())
             .expect("re-access simulation");

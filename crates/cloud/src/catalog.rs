@@ -188,19 +188,6 @@ impl Catalog {
         c
     }
 
-    /// The durability-aware catalog: Table 1 with persistent HDD recast
-    /// as an erasure-coded cold tier (4+2 Reed–Solomon, 50 % raw-capacity
-    /// overhead, tolerates two simultaneous shard losses) and persistent
-    /// SSD kept at provider-internal durability. This is the deployment
-    /// shape of the `durability_sweep` experiment; swap
-    /// [`RedundancyScheme::TRIPLE`] onto the cold tier to price the 3×
-    /// replication alternative at equal fault tolerance.
-    pub fn with_ec_cold_tier() -> Catalog {
-        let mut c = Catalog::google_cloud();
-        c.service_mut(Tier::PersHdd).redundancy = RedundancyScheme::RS_4_2;
-        c
-    }
-
     /// Look up one service.
     #[inline]
     pub fn service(&self, tier: Tier) -> &StorageService {

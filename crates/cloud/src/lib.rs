@@ -23,6 +23,8 @@
 //! All quantities flow through the strongly-typed units in [`units`] so that
 //! gigabytes, megabytes-per-second, dollars and seconds cannot be confused.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+
 pub mod catalog;
 pub mod cost;
 pub mod error;

@@ -63,6 +63,14 @@ impl PriceSheet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::redundancy::RedundancyScheme;
+
+    /// Table 1 with persistent HDD recast as a 4+2 Reed–Solomon cold tier.
+    fn ec_cold_tier() -> Catalog {
+        let mut c = Catalog::google_cloud();
+        c.service_mut(Tier::PersHdd).redundancy = RedundancyScheme::RS_4_2;
+        c
+    }
 
     #[test]
     fn sheet_matches_catalog() {
@@ -93,7 +101,7 @@ mod tests {
     #[test]
     fn ec_cold_tier_bills_raw_capacity() {
         let base = PriceSheet::from_catalog(&Catalog::google_cloud());
-        let ec = PriceSheet::from_catalog(&Catalog::with_ec_cold_tier());
+        let ec = PriceSheet::from_catalog(&ec_cold_tier());
         let cap = DataSize::from_gb(1000.0);
         let plain = base.storage_hourly(Tier::PersHdd, cap).dollars();
         let coded = ec.storage_hourly(Tier::PersHdd, cap).dollars();
@@ -107,11 +115,10 @@ mod tests {
 
     #[test]
     fn replication_vs_erasure_cost_gap() {
-        use crate::redundancy::RedundancyScheme;
         let mut rep3 = Catalog::google_cloud();
         rep3.service_mut(Tier::PersHdd).redundancy = RedundancyScheme::TRIPLE;
         let rep3 = PriceSheet::from_catalog(&rep3);
-        let ec = PriceSheet::from_catalog(&Catalog::with_ec_cold_tier());
+        let ec = PriceSheet::from_catalog(&ec_cold_tier());
         let cap = DataSize::from_gb(1000.0);
         let rep_cost = rep3.storage_hourly(Tier::PersHdd, cap).dollars();
         let ec_cost = ec.storage_hourly(Tier::PersHdd, cap).dollars();

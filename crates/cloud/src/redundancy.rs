@@ -1,25 +1,22 @@
 //! Redundancy schemes: how a storage tier keeps data alive.
 //!
-//! CAST's original model treats durability as the provider's problem —
-//! every tier is a black box that never loses bytes. The durability
-//! extension makes the scheme explicit so the simulator can kill shards
-//! and the cost model can charge for the raw capacity a scheme actually
-//! consumes:
+//! CAST treats durability as the provider's problem: every tier is a
+//! black box that never loses bytes, its replication folded into the
+//! price. This module makes the scheme explicit so the cost model can
+//! charge for the raw capacity a scheme actually consumes, and the
+//! `durability_sweep` experiment can price schemes of equal fault
+//! tolerance against each other. The simulator never loses shards.
 //!
 //! * [`RedundancyScheme::Replicated`] — `copies` full replicas. Storage
 //!   overhead `(copies − 1) × 100 %` (3× replication = 200 %), tolerates
-//!   `copies − 1` simultaneous shard losses, and any single live replica
-//!   serves reads at full speed.
+//!   `copies − 1` simultaneous shard losses.
 //! * [`RedundancyScheme::ErasureCoded`] — Reed–Solomon `data + parity`
 //!   striping. Overhead `parity / data × 100 %` (4+2 = 50 %), tolerates
-//!   `parity` losses, but a degraded stripe must fetch `data` surviving
-//!   fragments to reconstruct each missing one — degraded reads pay a
-//!   bandwidth penalty that replication does not.
+//!   `parity` losses.
 //!
 //! The default scheme everywhere is `Replicated { copies: 1 }`: the
 //! provider-internal durability already folded into Table 1's prices.
-//! Under it every cost and simulation result is bit-identical to the
-//! pre-durability model.
+//! Under it every cost is bit-identical to the pre-durability model.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -96,20 +93,7 @@ impl RedundancyScheme {
         self.shard_count() - self.read_threshold()
     }
 
-    /// Extra read bytes per logical byte when `lost` shards are missing:
-    /// an erasure-coded stripe must fetch `data` surviving fragments to
-    /// rebuild each missing one (`lost / data` extra), while replication
-    /// reads an intact surviving copy for free. `lost` is clamped to the
-    /// scheme's tolerance — beyond it the data is gone, not degraded.
-    pub fn degraded_read_amplification(self, lost: u32) -> f64 {
-        let lost = lost.min(self.fault_tolerance());
-        match self {
-            RedundancyScheme::Replicated { .. } => 0.0,
-            RedundancyScheme::ErasureCoded { data, .. } => f64::from(lost) / data.max(1) as f64,
-        }
-    }
-
-    /// Whether the scheme is erasure-coded (degraded reads cost extra).
+    /// Whether the scheme is erasure-coded.
     pub fn is_erasure_coded(self) -> bool {
         matches!(self, RedundancyScheme::ErasureCoded { .. })
     }
@@ -170,17 +154,6 @@ mod tests {
         assert_eq!(RedundancyScheme::RS_4_2.read_threshold(), 4);
         assert_eq!(RedundancyScheme::TRIPLE.shard_count(), 3);
         assert_eq!(RedundancyScheme::TRIPLE.read_threshold(), 1);
-    }
-
-    #[test]
-    fn degraded_reads_cost_only_under_erasure_coding() {
-        let ec = RedundancyScheme::RS_4_2;
-        assert_eq!(ec.degraded_read_amplification(0), 0.0);
-        assert_eq!(ec.degraded_read_amplification(1), 0.25);
-        assert_eq!(ec.degraded_read_amplification(2), 0.5);
-        // Clamped at tolerance: 3 lost shards is data loss, not a read.
-        assert_eq!(ec.degraded_read_amplification(3), 0.5);
-        assert_eq!(RedundancyScheme::TRIPLE.degraded_read_amplification(2), 0.0);
     }
 
     #[test]

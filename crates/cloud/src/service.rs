@@ -30,7 +30,7 @@ pub struct StorageService {
     /// How the service keeps data alive. The default,
     /// [`RedundancyScheme::NONE`], models provider-internal durability
     /// already folded into the list price; explicit schemes make the
-    /// raw-capacity overhead billable and shard loss simulatable.
+    /// raw-capacity overhead billable.
     pub redundancy: RedundancyScheme,
 }
 

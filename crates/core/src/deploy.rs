@@ -106,8 +106,7 @@ pub fn deploy_observed(
     let nvm = estimator.cluster.nvm;
     let mut cfg = SimConfig::with_aggregate_capacity(estimator.catalog.clone(), nvm, &capacities)?;
     cfg.faults = faults.clone();
-    let report = cast_sim::Sim::builder(&cfg)
-        .jobs(spec, &plan.to_placements())
+    let report = cast_sim::Sim::builder(&cfg, spec, &plan.to_placements())
         .collector(collector.clone())
         .build()?
         .run()?;

@@ -32,6 +32,8 @@
 //! println!("{}", outcome.render());
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+
 pub mod deploy;
 pub mod error;
 pub mod framework;

@@ -36,6 +36,8 @@
 //! `(interᵢ+outputᵢ)/r` bytes; the folded form is algebraically identical
 //! for prediction while being identifiable from phase-level measurements.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+
 pub mod calibration;
 pub mod error;
 pub mod model;

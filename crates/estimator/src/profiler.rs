@@ -130,8 +130,7 @@ pub fn profile_point(
     let mut spec = spec;
     spec.profiles = profiles.clone();
     let placements = PlacementMap::uniform([JobId(0)], tier);
-    let report = Sim::builder(&sim_cfg)
-        .jobs(&spec, &placements)
+    let report = Sim::builder(&sim_cfg, &spec, &placements)
         .build()
         .and_then(|s| s.run())
         .map_err(|e| EstimatorError::Profiling(e.to_string()))?;

@@ -432,17 +432,19 @@ impl<'a> Fleet<'a> {
                     let Stage::Planned(p) = std::mem::replace(&mut slot.stage, Stage::Idle) else {
                         continue;
                     };
-                    self.obs.emit(
-                        boundary_secs,
-                        EventBody::TenantEpoch {
-                            tenant: registry.specs()[i].id.0,
-                            shard: shard as u32,
-                            epoch: k,
-                            admission: v.label().to_string(),
-                            granted_frac: v.granted_frac(),
-                            planned: p.provenance().label().to_string(),
-                        },
-                    );
+                    if self.obs.enabled() {
+                        self.obs.emit(
+                            boundary_secs,
+                            EventBody::TenantEpoch {
+                                tenant: registry.specs()[i].id.0,
+                                shard: shard as u32,
+                                epoch: k,
+                                admission: v.label().to_string(),
+                                granted_frac: v.granted_frac(),
+                                planned: p.provenance().label().to_string(),
+                            },
+                        );
+                    }
                     match v {
                         Admission::Admitted { frac } => {
                             slot.consec_defer = 0;

@@ -58,6 +58,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+
 pub mod admission;
 pub mod error;
 pub mod fleet;

@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::event::{EventBody, TraceEvent};
-use crate::metrics::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
+use crate::metrics::{lock, Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 use crate::sink::TraceSink;
 
 struct Inner {
@@ -88,7 +88,7 @@ impl Collector {
     /// number. No-op (and no payload should be built) when disabled.
     pub fn emit(&self, t: f64, body: EventBody) {
         if let Some(inner) = &self.inner {
-            let mut events = inner.events.lock().unwrap();
+            let mut events = lock(&inner.events);
             let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
             events.push(TraceEvent { seq, t, body });
         }
@@ -98,7 +98,7 @@ impl Collector {
     /// order. Used to flush per-chain solver buffers in restart order.
     pub fn emit_batch(&self, batch: impl IntoIterator<Item = (f64, EventBody)>) {
         if let Some(inner) = &self.inner {
-            let mut events = inner.events.lock().unwrap();
+            let mut events = lock(&inner.events);
             for (t, body) in batch {
                 let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
                 events.push(TraceEvent { seq, t, body });
@@ -110,14 +110,12 @@ impl Collector {
     pub fn events(&self) -> Vec<TraceEvent> {
         self.inner
             .as_ref()
-            .map_or_else(Vec::new, |i| i.events.lock().unwrap().clone())
+            .map_or_else(Vec::new, |i| lock(&i.events).clone())
     }
 
     /// Number of events recorded so far.
     pub fn event_count(&self) -> usize {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.events.lock().unwrap().len())
+        self.inner.as_ref().map_or(0, |i| lock(&i.events).len())
     }
 
     /// Frozen, name-sorted dump of every registered metric.

@@ -187,8 +187,8 @@ pub enum EventBody {
         /// Bytes the phase streams, in MB.
         mb: f64,
     },
-    /// A dataset lost redundancy shards (disk/node failure or an unsafe
-    /// migration destroying the only copy).
+    /// An unsafe migration faulted mid-move and destroyed the only copy
+    /// of a dataset.
     ShardLost {
         /// Affected dataset.
         dataset: u32,
@@ -198,15 +198,6 @@ pub enum EventBody {
         remaining: u32,
         /// Whether the loss exceeds the scheme's tolerance (data gone).
         fatal: bool,
-    },
-    /// Background reconstruction rebuilt a dataset's lost shards.
-    Reconstructed {
-        /// Repaired dataset.
-        dataset: u32,
-        /// Shards rebuilt.
-        shards: u32,
-        /// Repair traffic charged through the engine, in MB.
-        mb: f64,
     },
     /// One tenant's epoch under fleet scheduling: the tenant/shard span
     /// dimension. `t` is the epoch boundary in stream seconds. Emitted by
@@ -250,7 +241,6 @@ impl EventBody {
             EventBody::Migration { .. } => "migration",
             EventBody::MigrationPhase { .. } => "migration_phase",
             EventBody::ShardLost { .. } => "shard_lost",
-            EventBody::Reconstructed { .. } => "reconstructed",
             EventBody::TenantEpoch { .. } => "tenant_epoch",
         }
     }

@@ -27,6 +27,8 @@
 //! * solver: `restart → epoch → move`, with acceptance / temperature /
 //!   score payloads.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+
 pub mod collector;
 pub mod event;
 pub mod metrics;

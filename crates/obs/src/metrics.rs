@@ -18,9 +18,16 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use serde::{Deserialize, Serialize};
+
+/// Lock `m`, recovering the guard if a panicking holder poisoned it. Every
+/// critical section in this crate only pushes, inserts or reads, so the
+/// guarded value is valid wherever a holder could have panicked.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A monotonically increasing integer metric.
 #[derive(Clone, Default)]
@@ -111,17 +118,17 @@ pub(crate) struct Registry {
 
 impl Registry {
     pub(crate) fn counter(&self, name: &'static str) -> Counter {
-        let mut map = self.counters.lock().unwrap();
+        let mut map = lock(&self.counters);
         Counter(Some(Arc::clone(map.entry(name).or_default())))
     }
 
     pub(crate) fn gauge(&self, name: &'static str) -> Gauge {
-        let mut map = self.gauges.lock().unwrap();
+        let mut map = lock(&self.gauges);
         Gauge(Some(Arc::clone(map.entry(name).or_default())))
     }
 
     pub(crate) fn histogram(&self, name: &'static str, bounds: &[f64]) -> Histogram {
-        let mut map = self.histograms.lock().unwrap();
+        let mut map = lock(&self.histograms);
         let core = map.entry(name).or_insert_with(|| {
             Arc::new(HistCore {
                 bounds: bounds.to_vec(),
@@ -133,24 +140,15 @@ impl Registry {
 
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self
-                .counters
-                .lock()
-                .unwrap()
+            counters: lock(&self.counters)
                 .iter()
                 .map(|(name, c)| (name.to_string(), c.load(Ordering::Relaxed)))
                 .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .unwrap()
+            gauges: lock(&self.gauges)
                 .iter()
                 .map(|(name, g)| (name.to_string(), f64::from_bits(g.load(Ordering::Relaxed))))
                 .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .unwrap()
+            histograms: lock(&self.histograms)
                 .iter()
                 .map(|(name, h)| {
                     (

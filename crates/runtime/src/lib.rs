@@ -28,6 +28,8 @@
 //! and its report serialises byte-identically across repetitions — the
 //! property the root determinism tests pin.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+
 pub mod config;
 pub mod error;
 pub mod forecast;

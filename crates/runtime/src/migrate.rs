@@ -23,20 +23,21 @@
 //! Every flow the protocol emits is an ordinary [`MigrationSpec`]
 //! chained through `after`, so retries, verify passes and foreground
 //! jobs all contend for tier bandwidth in one simulation. Fault draws
-//! are keyed by `(seed, epoch, move, attempt)` — the same key scheme the
-//! simulator uses for task faults — so sweeps are monotone and runs are
-//! bit-reproducible.
+//! come from the simulator's keyed task-fault RNG
+//! ([`cast_sim::fault::attempt_rng`]) with `uid = (epoch << 32) | move`,
+//! so sweeps are monotone and runs are bit-reproducible.
 
 use std::collections::HashMap;
 
 use cast_cloud::tier::Tier;
 use cast_cloud::units::DataSize;
 use cast_obs::{Collector, EventBody};
+use cast_sim::fault::attempt_rng;
 use cast_sim::MigrationSpec;
 use cast_solver::TieringPlan;
 use cast_workload::{DatasetId, JobId, WorkloadSpec};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use crate::config::MigrationProtocol;
 
@@ -152,18 +153,28 @@ fn partial_fraction(rng: &mut StdRng) -> f64 {
     0.1 + 0.8 * rng.gen::<f64>()
 }
 
-/// Keyed RNG for one copy attempt of one move: the same
-/// `(seed, uid, attempt)` scheme the simulator uses for task faults, so
-/// failure sets couple across fault intensities and runs reproduce
-/// bit-for-bit.
-fn attempt_rng(seed: u64, epoch: u32, move_id: u32, attempt: u32) -> StdRng {
-    let uid = (u64::from(epoch) << 32) | u64::from(move_id);
-    let mut u = seed ^ 0x9e37_79b9_7f4a_7c15;
-    u = u.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(uid);
-    u = u
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(u64::from(attempt));
-    StdRng::seed_from_u64(u)
+/// Emit one [`EventBody::MigrationPhase`], building its payload only when
+/// `collector` records.
+fn emit_phase(
+    collector: &Collector,
+    epoch: u32,
+    dataset: DatasetId,
+    phase: &str,
+    attempt: u32,
+    mb: f64,
+) {
+    if collector.enabled() {
+        collector.emit(
+            0.0,
+            EventBody::MigrationPhase {
+                epoch,
+                dataset: dataset.0,
+                phase: phase.to_string(),
+                attempt,
+                mb,
+            },
+        );
+    }
 }
 
 /// Run `sched` through `protocol` under a per-attempt fault probability,
@@ -186,9 +197,12 @@ pub fn execute_schedule(
     let mut next_id = 0u32;
     for (i, m) in sched.moves.iter().enumerate() {
         let dataset = sched.datasets[i];
+        // Copy attempts draw from the simulator's keyed fault RNG, so
+        // failure sets couple across fault intensities.
+        let uid = (u64::from(epoch) << 32) | u64::from(m.id);
         match protocol {
             MigrationProtocol::Unsafe => {
-                let mut rng = attempt_rng(seed, epoch, m.id, 1);
+                let mut rng = attempt_rng(seed, uid, 1);
                 let faulted = fault_prob > 0.0 && rng.gen::<f64>() < fault_prob;
                 if !faulted {
                     out.flows.push(MigrationSpec {
@@ -205,16 +219,7 @@ pub fn execute_schedule(
                 let partial = DataSize::from_bytes(m.bytes.bytes() * frac);
                 out.wasted_mb += partial.mb();
                 out.lost.push(dataset);
-                collector.emit(
-                    0.0,
-                    EventBody::MigrationPhase {
-                        epoch,
-                        dataset: dataset.0,
-                        phase: "copy".to_string(),
-                        attempt: 1,
-                        mb: partial.mb(),
-                    },
-                );
+                emit_phase(collector, epoch, dataset, "copy", 1, partial.mb());
                 collector.emit(
                     0.0,
                     EventBody::ShardLost {
@@ -239,7 +244,7 @@ pub fn execute_schedule(
                 let mut prev: Option<u32> = None;
                 let mut committed = false;
                 for attempt in 1..=max_attempts.max(1) {
-                    let mut rng = attempt_rng(seed, epoch, m.id, attempt);
+                    let mut rng = attempt_rng(seed, uid, attempt);
                     let faulted = fault_prob > 0.0 && rng.gen::<f64>() < fault_prob;
                     let after: Vec<u32> = prev.into_iter().collect();
                     if faulted {
@@ -248,16 +253,7 @@ pub fn execute_schedule(
                         out.wasted_mb += partial.mb();
                         out.retries += 1;
                         out.backoff_secs += backoff_secs * f64::from(1u32 << (attempt - 1).min(16));
-                        collector.emit(
-                            0.0,
-                            EventBody::MigrationPhase {
-                                epoch,
-                                dataset: dataset.0,
-                                phase: "copy".to_string(),
-                                attempt,
-                                mb: partial.mb(),
-                            },
-                        );
+                        emit_phase(collector, epoch, dataset, "copy", attempt, partial.mb());
                         out.flows.push(MigrationSpec {
                             id: next_id,
                             bytes: partial,
@@ -271,16 +267,7 @@ pub fn execute_schedule(
                     }
                     // Copy landed in full; verify it with a read pass
                     // over the destination before retiring the source.
-                    collector.emit(
-                        0.0,
-                        EventBody::MigrationPhase {
-                            epoch,
-                            dataset: dataset.0,
-                            phase: "copy".to_string(),
-                            attempt,
-                            mb: m.bytes.mb(),
-                        },
-                    );
+                    emit_phase(collector, epoch, dataset, "copy", attempt, m.bytes.mb());
                     out.flows.push(MigrationSpec {
                         id: next_id,
                         blocks: vec![],
@@ -289,16 +276,7 @@ pub fn execute_schedule(
                     });
                     let copy_id = next_id;
                     next_id += 1;
-                    collector.emit(
-                        0.0,
-                        EventBody::MigrationPhase {
-                            epoch,
-                            dataset: dataset.0,
-                            phase: "verify".to_string(),
-                            attempt,
-                            mb: m.bytes.mb(),
-                        },
-                    );
+                    emit_phase(collector, epoch, dataset, "verify", attempt, m.bytes.mb());
                     out.verify_mb += m.bytes.mb();
                     out.flows.push(MigrationSpec {
                         id: next_id,
@@ -309,16 +287,7 @@ pub fn execute_schedule(
                         after: vec![copy_id],
                     });
                     next_id += 1;
-                    collector.emit(
-                        0.0,
-                        EventBody::MigrationPhase {
-                            epoch,
-                            dataset: dataset.0,
-                            phase: "retire".to_string(),
-                            attempt,
-                            mb: m.bytes.mb(),
-                        },
-                    );
+                    emit_phase(collector, epoch, dataset, "retire", attempt, m.bytes.mb());
                     out.committed += 1;
                     committed = true;
                     break;
@@ -329,16 +298,7 @@ pub fn execute_schedule(
                     // the old placement — no data at risk.
                     out.rollbacks += 1;
                     out.rolled_back_jobs.extend(m.blocks.iter().copied());
-                    collector.emit(
-                        0.0,
-                        EventBody::MigrationPhase {
-                            epoch,
-                            dataset: dataset.0,
-                            phase: "rollback".to_string(),
-                            attempt: max_attempts,
-                            mb: 0.0,
-                        },
-                    );
+                    emit_phase(collector, epoch, dataset, "rollback", max_attempts, 0.0);
                 }
             }
         }

@@ -713,16 +713,18 @@ impl<'a> TenantSession<'a> {
                 churn: sched.churn as u32,
             },
         );
-        for m in &sched.moves {
-            self.obs.emit(
-                batch.start.secs(),
-                EventBody::Migration {
-                    epoch: k,
-                    from: m.from.name().to_string(),
-                    to: m.to.name().to_string(),
-                    mb: m.bytes.mb(),
-                },
-            );
+        if self.obs.enabled() {
+            for m in &sched.moves {
+                self.obs.emit(
+                    batch.start.secs(),
+                    EventBody::Migration {
+                        epoch: k,
+                        from: m.from.name().to_string(),
+                        to: m.to.name().to_string(),
+                        mb: m.bytes.mb(),
+                    },
+                );
+            }
         }
         self.obs.counter("runtime.epochs").inc();
         self.obs

@@ -72,13 +72,13 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use cast_obs::{Collector, Counter, EventBody, Histogram};
 
 use crate::config::{Concurrency, SimConfig};
 use crate::error::SimError;
-use crate::fault::FaultPlan;
+use crate::fault::{attempt_rng, FaultPlan};
 use crate::jobrun::{JobPhase, JobRun};
 use crate::metrics::{FaultSummary, JobMetrics, SimReport};
 use crate::resources::{ResKind, ShareRegistry};
@@ -2365,17 +2365,6 @@ pub(crate) fn arm_task_with(plan: &FaultPlan, rng: &mut StdRng, task: &mut Runni
     if doom.is_finite() {
         task.doom_units = Some(doom);
     }
-}
-
-/// Private RNG for one task attempt: keyed, not streamed, so runs are
-/// reproducible and failure sets couple across fault intensities.
-pub(crate) fn attempt_rng(seed: u64, uid: u64, attempt: u32) -> StdRng {
-    let mut u = seed ^ 0x9e37_79b9_7f4a_7c15;
-    u = u.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(uid);
-    u = u
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(u64::from(attempt));
-    StdRng::seed_from_u64(u)
 }
 
 pub(crate) fn nan_zero(x: f64) -> f64 {

@@ -19,9 +19,6 @@ pub enum SimError {
     /// A two-tier input split was asked for a fraction that is NaN or
     /// outside `[0, 1]`.
     SplitFraction(f64),
-    /// [`crate::SimBuilder::build`] was called with neither jobs nor
-    /// pre-lowered runs: there is nothing to simulate.
-    NoWorkload,
     /// The engine made no progress. Carries whatever is known about the
     /// blocking work so a zero-bandwidth placement (or a cluster that
     /// never recovers) is diagnosable from the error alone.
@@ -42,16 +39,6 @@ pub enum SimError {
         job: u32,
         /// Attempts the fatal task made (first run + retries).
         attempts: u32,
-    },
-    /// A dataset lost more redundancy shards than its scheme tolerates;
-    /// the data is unrecoverable and dependent work cannot run.
-    DataLoss {
-        /// Dataset that fell below its read threshold.
-        dataset: u32,
-        /// Shards lost.
-        lost: u32,
-        /// Losses the scheme could have survived.
-        tolerance: u32,
     },
     /// A migration's `after` chain references an id that does not appear
     /// earlier in the migration list.
@@ -105,12 +92,6 @@ impl fmt::Display for SimError {
             SimError::SplitFraction(frac) => {
                 write!(f, "input split fraction {frac} is not in [0, 1]")
             }
-            SimError::NoWorkload => {
-                write!(
-                    f,
-                    "Sim::builder needs .jobs(..) or .runs(..) before .build()"
-                )
-            }
             SimError::Stalled {
                 at_secs,
                 job,
@@ -132,15 +113,6 @@ impl fmt::Display for SimError {
             SimError::JobFailed { job, attempts } => {
                 write!(f, "job #{job} failed: a task exhausted {attempts} attempts")
             }
-            SimError::DataLoss {
-                dataset,
-                lost,
-                tolerance,
-            } => write!(
-                f,
-                "dataset #{dataset} lost {lost} shards (scheme tolerates {tolerance}): \
-                 data is unrecoverable"
-            ),
             SimError::InvalidMigrationChain { id, missing } => write!(
                 f,
                 "migration #{id} waits on migration #{missing}, which does not \
@@ -245,19 +217,6 @@ mod tests {
         assert!(msg.contains("t=250.250"));
         assert!(msg.contains("12 active tasks"));
         assert!(msg.contains("3 unfinished jobs"));
-    }
-
-    #[test]
-    fn data_loss_display() {
-        let e = SimError::DataLoss {
-            dataset: 3,
-            lost: 3,
-            tolerance: 2,
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("#3"));
-        assert!(msg.contains("3 shards"));
-        assert!(msg.contains("tolerates 2"));
     }
 
     #[test]

@@ -14,12 +14,16 @@
 //! simulation is bit-reproducible for a fixed plan *and* failure sets are
 //! coupled across intensities — every task that fails at rate `p₁` also
 //! fails at any `p₂ > p₁`, which makes fault sweeps monotone.
+//! [`attempt_rng`] is that keyed RNG; the runtime's migration protocol
+//! draws its copy faults from it too.
 //!
 //! Scheduling: the event-driven engine seeds every scheduled fault time
 //! (crash, recovery, degradation edge) and retry-backoff expiry into its
 //! completion heap as sentinel *wake* entries, so the clock lands exactly
 //! on each fault edge without per-step scanning of the plan.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use cast_cloud::tier::Tier;
@@ -51,20 +55,6 @@ pub struct DegradationWindow {
     pub multiplier: f64,
 }
 
-/// A scheduled loss of redundancy shards from one dataset's home tier —
-/// the disk/node failures that erasure coding and replication exist to
-/// survive. Losses accumulate: two kills of one shard each at different
-/// times leave the dataset two shards down.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ShardKill {
-    /// Index of the dataset (job input) whose shards are lost.
-    pub dataset: u32,
-    /// Simulated time of the loss, seconds.
-    pub at_secs: f64,
-    /// How many shards (or replicas) are lost at once.
-    pub shards: u32,
-}
-
 /// The full fault scenario for one simulation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
@@ -92,9 +82,6 @@ pub struct FaultPlan {
     pub vm_crashes: Vec<VmCrash>,
     /// Tier degradation windows.
     pub degradations: Vec<DegradationWindow>,
-    /// Scheduled redundancy-shard losses (consumed by the durability
-    /// layer, [`crate::durability`]; ignored by plain `simulate`).
-    pub shard_kills: Vec<ShardKill>,
 }
 
 impl Default for FaultPlan {
@@ -111,7 +98,6 @@ impl Default for FaultPlan {
             speculation_threshold: 0.0,
             vm_crashes: Vec::new(),
             degradations: Vec::new(),
-            shard_kills: Vec::new(),
         }
     }
 }
@@ -124,7 +110,6 @@ impl FaultPlan {
             && self.speculation_threshold <= 0.0
             && self.vm_crashes.is_empty()
             && self.degradations.is_empty()
-            && self.shard_kills.is_empty()
     }
 
     /// Convenience: an otherwise-default plan with a per-task failure rate.
@@ -206,19 +191,21 @@ impl FaultPlan {
                 ));
             }
         }
-        for k in &self.shard_kills {
-            if !k.at_secs.is_finite() || k.at_secs < 0.0 {
-                return Err(format!(
-                    "shard kill time must be finite and >= 0, got {}",
-                    k.at_secs
-                ));
-            }
-            if k.shards == 0 {
-                return Err("shard kill must remove at least one shard".to_string());
-            }
-        }
         Ok(())
     }
+}
+
+/// The RNG for one attempt of one fault-exposed unit of work (a task in
+/// the engine, a migration copy in the runtime): keyed by
+/// `(seed, uid, attempt)`, not streamed, so runs are reproducible and
+/// failure sets couple across fault intensities.
+pub fn attempt_rng(seed: u64, uid: u64, attempt: u32) -> StdRng {
+    let mut u = seed ^ 0x9e37_79b9_7f4a_7c15;
+    u = u.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(uid);
+    u = u
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .wrapping_add(u64::from(attempt));
+    StdRng::seed_from_u64(u)
 }
 
 #[cfg(test)]
@@ -300,38 +287,6 @@ mod tests {
             ..FaultPlan::default()
         };
         assert!(degenerate.validate(4).is_ok());
-    }
-
-    #[test]
-    fn shard_kills_validated_and_counted() {
-        let plan = FaultPlan {
-            shard_kills: vec![ShardKill {
-                dataset: 0,
-                at_secs: 5.0,
-                shards: 2,
-            }],
-            ..FaultPlan::default()
-        };
-        assert!(!plan.is_empty());
-        assert!(plan.validate(4).is_ok());
-        let zero = FaultPlan {
-            shard_kills: vec![ShardKill {
-                dataset: 0,
-                at_secs: 5.0,
-                shards: 0,
-            }],
-            ..FaultPlan::default()
-        };
-        assert!(zero.validate(4).is_err());
-        let negative = FaultPlan {
-            shard_kills: vec![ShardKill {
-                dataset: 0,
-                at_secs: -1.0,
-                shards: 1,
-            }],
-            ..FaultPlan::default()
-        };
-        assert!(negative.validate(4).is_err());
     }
 
     #[test]

@@ -210,9 +210,9 @@ impl JobRun {
         let Some(src) = self.placement.stage_in_from else {
             return Vec::new();
         };
-        // `src == dst` is intentional work, not a no-op: the durability
-        // layer models erasure-reconstruction and repair traffic as a
-        // read+write stream over the same tier's volumes. An input split
+        // `src == dst` is intentional work, not a no-op: a
+        // copy→verify→retire verify pass is a migration run that reads
+        // and rewrites the destination tier's volumes. An input split
         // with no parts has no tier to stage onto.
         let Some(dst) = self.placement.input.primary() else {
             return Vec::new();

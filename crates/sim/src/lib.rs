@@ -39,12 +39,16 @@
 //!
 //! ## Entry points
 //!
-//! [`Sim::builder`] runs a [`cast_workload::WorkloadSpec`] under a
-//! [`placement::PlacementMap`] on a [`config::SimConfig`], returning a
-//! [`metrics::SimReport`] with per-job phase timings and the makespan.
+//! [`Sim::builder`] takes a [`config::SimConfig`], a
+//! [`cast_workload::WorkloadSpec`] and its [`placement::PlacementMap`] and
+//! builds the live [`Engine`], whose run yields a [`metrics::SimReport`]
+//! with per-job phase timings and the makespan. Callers with migrations
+//! or a reused [`EngineScratch`] lower through [`prepare_runs`] and call
+//! an [`Engine`] constructor directly.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 
 pub mod config;
-pub mod durability;
 pub mod engine;
 pub mod error;
 pub mod fault;
@@ -61,10 +65,9 @@ pub mod task;
 pub mod whatif;
 
 pub use config::SimConfig;
-pub use durability::{DurabilityReport, ShardState};
 pub use engine::{Engine, EngineScratch, EngineSnapshot, EngineStats, RunState};
 pub use error::SimError;
-pub use fault::{DegradationWindow, FaultPlan, ShardKill, VmCrash};
+pub use fault::{DegradationWindow, FaultPlan, VmCrash};
 pub use metrics::{FaultSummary, JobMetrics, SimReport};
 pub use placement::{JobPlacement, PlacementMap, SplitPlacement};
 pub use runner::{prepare_runs, MigrationSpec, MIGRATION_JOB_BASE};

@@ -18,10 +18,11 @@ use cast_obs::{Collector, EventBody};
 
 use crate::config::{Concurrency, SimConfig};
 use crate::engine::{
-    attempt_rng, nan_zero, pick_vm, stage_tier, FaultEventKind, FaultState, RetryEntry, SimObs,
-    TaskEventKind, BACKUP_BIT, CONTENTION_STRIDE, EPS,
+    nan_zero, pick_vm, stage_tier, FaultEventKind, FaultState, RetryEntry, SimObs, TaskEventKind,
+    BACKUP_BIT, CONTENTION_STRIDE, EPS,
 };
 use crate::error::SimError;
+use crate::fault::attempt_rng;
 use crate::jobrun::{JobPhase, JobRun};
 use crate::metrics::{FaultSummary, JobMetrics, SimReport};
 use crate::resources::ShareRegistry;

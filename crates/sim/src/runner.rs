@@ -4,8 +4,10 @@
 //! configuration, wires up workflow dependencies (including cross-tier
 //! transfer staging between producer and consumer jobs), orders jobs
 //! topologically, and lowers everything into the dependency-ordered
-//! [`JobRun`] table an engine executes. [`crate::Sim::builder`] is the
-//! entry point that drives it.
+//! [`JobRun`] table an engine executes. [`crate::Sim::builder`] drives
+//! it for a plain workload; callers that simulate migrations alongside
+//! the workload call it directly and hand the runs to an
+//! [`crate::Engine`] constructor.
 
 use std::collections::HashMap;
 
@@ -237,6 +239,7 @@ fn validate_placement(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::metrics::SimReport;
     use crate::sim::Sim;
     use cast_cloud::tier::PerTier;
@@ -250,7 +253,7 @@ mod tests {
         placements: &PlacementMap,
         cfg: &SimConfig,
     ) -> Result<SimReport, SimError> {
-        Sim::builder(cfg).jobs(spec, placements).build()?.run()
+        Sim::builder(cfg, spec, placements).build()?.run()
     }
 
     fn simulate_with_migrations(
@@ -259,11 +262,8 @@ mod tests {
         migrations: &[MigrationSpec],
         cfg: &SimConfig,
     ) -> Result<SimReport, SimError> {
-        Sim::builder(cfg)
-            .jobs(spec, placements)
-            .migrations(migrations)
-            .build()?
-            .run()
+        let runs = prepare_runs(spec, placements, migrations, cfg)?;
+        Engine::new(cfg, runs).run()
     }
 
     fn full_cfg(nvm: usize) -> SimConfig {
@@ -319,16 +319,22 @@ mod tests {
 
     #[test]
     fn empty_split_on_a_workflow_child_is_an_error() {
+        let mut empty = JobPlacement::all_on(Tier::PersSsd);
+        empty.input.parts.clear();
         // Job 0 reads its first child's input tier before job 1's own
         // placement is validated.
         let spec = synth::fig4_workflow();
         let cfg = full_cfg(4);
         let mut placements = PlacementMap::uniform(spec.jobs.iter().map(|j| j.id), Tier::PersSsd);
-        let mut empty = JobPlacement::all_on(Tier::PersSsd);
-        empty.input.parts.clear();
-        placements.set(JobId(1), empty);
+        placements.set(JobId(1), empty.clone());
         let err = simulate(&spec, &placements, &cfg).unwrap_err();
         assert_eq!(err, SimError::InvalidSplit(1));
+        // An independent job's own split is validated directly.
+        let single = synth::single_job(AppKind::Grep, DataSize::from_gb(10.0));
+        let mut placements = PlacementMap::new();
+        placements.set(single.jobs[0].id, empty);
+        let err = simulate(&single, &placements, &cfg).unwrap_err();
+        assert_eq!(err, SimError::InvalidSplit(single.jobs[0].id.0));
     }
 
     #[test]

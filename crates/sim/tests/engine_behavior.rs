@@ -20,7 +20,7 @@ fn simulate(
     placements: &PlacementMap,
     cfg: &SimConfig,
 ) -> Result<SimReport, SimError> {
-    Sim::builder(cfg).jobs(spec, placements).build()?.run()
+    Sim::builder(cfg, spec, placements).build()?.run()
 }
 
 fn cfg_with(nvm: usize, per_vm_gb: f64) -> SimConfig {
@@ -214,8 +214,7 @@ fn trace_accounts_every_task() {
     let cfg = cfg_with(2, 500.0);
     let placements = PlacementMap::uniform([JobId(0)], Tier::PersSsd);
     let col = Collector::recording();
-    let report = Sim::builder(&cfg)
-        .jobs(&spec, &placements)
+    let report = Sim::builder(&cfg, &spec, &placements)
         .collector(col.clone())
         .build()
         .and_then(|s| s.run())

@@ -24,6 +24,8 @@
 //! through the [`cast_estimator::Estimator`], exactly as CAST sees the real
 //! cluster only through its profiled models.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+
 pub mod anneal;
 pub mod castpp;
 pub mod cooling;

@@ -191,11 +191,13 @@ impl ArrivalStream {
     /// Mean inter-arrival gap in seconds (`None` for fewer than two
     /// arrivals).
     pub fn mean_interarrival_secs(&self) -> Option<f64> {
-        if self.arrivals.len() < 2 {
-            return None;
+        match self.arrivals.as_slice() {
+            [first, .., last] => {
+                let span = last.at.secs() - first.at.secs();
+                Some(span / (self.arrivals.len() - 1) as f64)
+            }
+            _ => None,
         }
-        let span = self.arrivals.last().unwrap().at.secs() - self.arrivals[0].at.secs();
-        Some(span / (self.arrivals.len() - 1) as f64)
     }
 }
 

@@ -26,6 +26,8 @@
 //! * [`spec`] — the [`spec::WorkloadSpec`] bundle handed to the CAST
 //!   framework.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+
 pub mod apps;
 pub mod arrival;
 pub mod dataset;

@@ -50,8 +50,7 @@ fn main() {
         let cfg = SimConfig::with_aggregate_capacity(estimator.catalog.clone(), NVM, &agg)
             .expect("provisionable");
         let placements = PlacementMap::uniform([job.id], Tier::PersSsd);
-        let observed = Sim::builder(&cfg)
-            .jobs(&spec, &placements)
+        let observed = Sim::builder(&cfg, &spec, &placements)
             .build()
             .and_then(|s| s.run())
             .expect("simulation");

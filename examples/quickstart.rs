@@ -108,8 +108,7 @@ fn main() {
     )
     .expect("provisionable cluster");
     let placements = planned.plan.to_placements();
-    let mut live = Sim::builder(&cfg)
-        .jobs(&spec, &placements)
+    let mut live = Sim::builder(&cfg, &spec, &placements)
         .build()
         .expect("simulation setup");
 

@@ -72,7 +72,7 @@ fn recorded_pipeline_trace_round_trips_ndjson() {
 }
 
 #[test]
-fn durability_events_round_trip_ndjson() {
+fn migration_and_fleet_events_round_trip_ndjson() {
     let col = Collector::recording();
     col.emit(
         10.0,
@@ -88,21 +88,13 @@ fn durability_events_round_trip_ndjson() {
         11.0,
         EventBody::ShardLost {
             dataset: 4,
-            lost: 2,
-            remaining: 4,
-            fatal: false,
+            lost: 1,
+            remaining: 0,
+            fatal: true,
         },
     );
     col.emit(
         12.0,
-        EventBody::Reconstructed {
-            dataset: 4,
-            shards: 2,
-            mb: 2048.0,
-        },
-    );
-    col.emit(
-        13.0,
         EventBody::TenantEpoch {
             tenant: 17,
             shard: 3,
@@ -116,12 +108,7 @@ fn durability_events_round_trip_ndjson() {
     let labels: Vec<&'static str> = events.iter().map(|e| e.body.label()).collect();
     assert_eq!(
         labels,
-        vec![
-            "migration_phase",
-            "shard_lost",
-            "reconstructed",
-            "tenant_epoch"
-        ]
+        vec!["migration_phase", "shard_lost", "tenant_epoch"]
     );
     let parsed = parse_ndjson(&to_ndjson(&events)).expect("parseable NDJSON");
     assert_eq!(events, parsed);
@@ -214,17 +201,15 @@ proptest! {
         let cfg = SimConfig::with_aggregate_capacity(Catalog::google_cloud(), 2, &agg)
             .expect("provisionable");
         let placements = PlacementMap::uniform(spec.jobs.iter().map(|j| j.id), tier);
-        let plain = Sim::builder(&cfg)
-            .jobs(&spec, &placements)
+        let plain = Sim::builder(&cfg, &spec, &placements)
             .build()
-            .and_then(Sim::run)
+            .and_then(|sim| sim.run())
             .expect("simulation");
         let col = Collector::recording();
-        let observed = Sim::builder(&cfg)
-            .jobs(&spec, &placements)
+        let observed = Sim::builder(&cfg, &spec, &placements)
             .collector(col.clone())
             .build()
-            .and_then(Sim::run)
+            .and_then(|sim| sim.run())
             .expect("simulation");
         prop_assert_eq!(plain, observed);
         prop_assert!(col.event_count() > 0);

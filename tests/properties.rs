@@ -18,7 +18,7 @@ fn simulate(
     placements: &PlacementMap,
     cfg: &SimConfig,
 ) -> Result<SimReport, SimError> {
-    Sim::builder(cfg).jobs(spec, placements).build()?.run()
+    Sim::builder(cfg, spec, placements).build()?.run()
 }
 
 fn arb_app() -> impl Strategy<Value = AppKind> {
