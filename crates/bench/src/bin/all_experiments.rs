@@ -298,19 +298,6 @@ fn run_online_drift() -> Section {
          4-hour stream; this section uses the CI-sized `--smoke` configuration.\n",
         (periodic_cost / static_cost - 1.0) * 100.0,
     );
-    let _ = writeln!(
-        md,
-        "Fork-backed replanning: with `RuntimeConfig::scoring` set to\n\
-         `ForkLive`, each replan point additionally scores a candidate slate\n\
-         (the committed plan plus per-tier redirects of still-waiting jobs)\n\
-         against the live mid-epoch simulation — one snapshot, forked once per\n\
-         candidate — and commits the winner (`EpochReport::whatif_winner`).\n\
-         Fork equivalence makes that the decision cold re-simulation of every\n\
-         candidate would commit: `tests/properties.rs` checks forked runs\n\
-         bit-match fresh ones, and `runtime_epoch` asserts cold and forked\n\
-         slates are byte-identical on every run (see \"Replan latency\" below\n\
-         for the latency side).\n"
-    );
     Section {
         md,
         json: vec![("online_drift", json)],

@@ -47,7 +47,7 @@ use cast_sim::engine::Engine;
 use cast_sim::placement::JobPlacement;
 use cast_sim::{pick_winner, prepare_runs, score_cold, score_forked, CandidateOverride};
 use cast_solver::neighbor::NeighborGen;
-use cast_solver::{evaluate, AnnealConfig, Annealer, EvalContext, TieringPlan, WarmStart};
+use cast_solver::{evaluate, AnnealConfig, Annealer, EvalContext, TieringPlan};
 use cast_workload::arrival::{assemble_spec, generate, ArrivalConfig, ArrivalProcess};
 use cast_workload::{synth, AppKind, DriftConfig, WorkloadSpec};
 
@@ -60,8 +60,8 @@ const SOLVER_SEED: u64 = 0xCA57_0711;
 /// Candidate slate size for the what-if section (the acceptance bar's
 /// "8 candidate plans").
 const CANDIDATES: usize = 8;
-/// Worker-pool width for candidate scoring, matching the runtime's own
-/// what-if fan-out.
+/// Worker-pool width for candidate scoring. Any width yields the same
+/// reports ([`cast_sim::par::run_indexed`]'s determinism contract).
 const WORKERS: usize = 4;
 /// How far into the epoch the live simulation is when the replan point
 /// hits: the snapshot is taken at this fraction of the full makespan.
@@ -135,7 +135,6 @@ fn anneal_cfg() -> AnnealConfig {
         iterations: 3_000,
         restarts: 1,
         seed: SOLVER_SEED,
-        ..AnnealConfig::default()
     }
 }
 
@@ -204,14 +203,13 @@ struct IncrementalSection {
 fn bench_solver(e: &Epochs, reps: usize) -> SolverSection {
     let ctx = EvalContext::new(&e.estimator, &e.spec_b).with_reuse_awareness();
     let annealer = Annealer::new(anneal_cfg());
-    let warm = WarmStart::default();
 
     // Both chains score on the same incremental-evaluation scale, so the
     // cold chain's own converged best is a quality bar both can be
     // measured against: the warm chain starts at (or above) incumbent
     // quality and must get there in measurably fewer moves.
     let warm_out = annealer
-        .resume_from(&ctx, e.warm_init.clone(), warm)
+        .resume_from(&ctx, e.warm_init.clone())
         .expect("warm replan");
     let cold_out = annealer
         .solve(&ctx, e.cold_init.clone())
@@ -242,7 +240,7 @@ fn bench_solver(e: &Epochs, reps: usize) -> SolverSection {
 
         let t0 = Instant::now();
         annealer
-            .resume_from(&ctx, e.warm_init.clone(), warm)
+            .resume_from(&ctx, e.warm_init.clone())
             .expect("warm replan");
         warm_lat.push(t0.elapsed().as_secs_f64());
     }
@@ -260,7 +258,7 @@ fn bench_solver(e: &Epochs, reps: usize) -> SolverSection {
 /// An 8-slate candidate set over `spec`: four per-tier uniform redirects
 /// plus four striped variants (job *j* of candidate *c* redirects to
 /// tier `(j + c) mod 4`), all on generously provisioned tiers.
-fn candidate_slates(spec: &WorkloadSpec) -> Vec<Vec<CandidateOverride>> {
+fn redirect_slates(spec: &WorkloadSpec) -> Vec<Vec<CandidateOverride>> {
     (0..CANDIDATES)
         .map(|c| {
             spec.jobs
@@ -295,7 +293,7 @@ fn bench_whatif(e: &Epochs, reps: usize) -> WhatifSection {
     cfg.concurrency = cast_sim::config::Concurrency::Parallel;
     let placements = e.live_init.to_placements();
     let runs = prepare_runs(&e.spec_live, &placements, &[], &cfg).expect("lowering");
-    let candidates = candidate_slates(&e.spec_live);
+    let candidates = redirect_slates(&e.spec_live);
 
     let probe = Engine::new(&cfg, runs.clone()).run().expect("probe run");
     let horizon = probe.makespan.secs() * FORK_FRACTION;

@@ -117,7 +117,6 @@ fn fleet_config(workers: usize, capacity: PerTier<DataSize>) -> FleetConfig {
             iterations: 600,
             restarts: 1,
             seed: SOLVER_SEED,
-            ..AnnealConfig::default()
         },
         ..FleetConfig::default()
     }

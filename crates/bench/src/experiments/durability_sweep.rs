@@ -32,7 +32,7 @@ use cast_obs::Observe;
 use cast_runtime::{
     AdmissionPolicy, MigrationProtocol, OnlineReport, OnlineRuntime, ReplanPolicy, RuntimeConfig,
 };
-use cast_solver::{AnnealConfig, WarmStart};
+use cast_solver::AnnealConfig;
 
 use crate::experiments::online_drift::{self, OnlineDriftConfig};
 use crate::format::{Cell, TableWriter};
@@ -87,18 +87,14 @@ pub fn serve(
         iterations: cfg.drift.iterations,
         restarts: cfg.drift.restarts,
         seed: SOLVER_SEED,
-        ..AnnealConfig::default()
     };
     let rt_cfg = RuntimeConfig {
         epoch: Duration::from_mins(30.0),
         policy: ReplanPolicy::Periodic,
         admission: AdmissionPolicy::AcceptAll,
-        warm: WarmStart::default(),
-        forecast: true,
         seed: SOLVER_SEED,
         protocol,
         migration_fault_prob: fault_prob,
-        scoring: cast_runtime::CandidateScoring::Analytic,
         skip: cast_runtime::SkipPolicy::default(),
     };
     OnlineRuntime::new(&estimator, anneal, rt_cfg)

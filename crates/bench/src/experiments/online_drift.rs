@@ -19,8 +19,8 @@
 
 use cast_cloud::units::Duration;
 use cast_obs::Observe;
-use cast_runtime::{AdmissionPolicy, CandidateScoring, OnlineRuntime, ReplanPolicy, RuntimeConfig};
-use cast_solver::{AnnealConfig, WarmStart};
+use cast_runtime::{AdmissionPolicy, OnlineRuntime, ReplanPolicy, RuntimeConfig};
+use cast_solver::AnnealConfig;
 use cast_workload::{ArrivalConfig, ArrivalProcess, ArrivalStream, DriftConfig};
 
 use crate::format::{Cell, TableWriter};
@@ -39,8 +39,8 @@ pub struct OnlineDriftConfig {
     pub jobs_per_hour: f64,
     /// Largest Table 4 map-count bin synthesised (caps job size).
     pub max_bin: usize,
-    /// Cold-start annealing iterations (warm replans use
-    /// [`WarmStart::default`]'s budget).
+    /// Cold-start annealing iterations (warm replans run the fixed
+    /// 3000-move schedule of [`cast_solver::Annealer::resume_from`]).
     pub iterations: usize,
     /// Independent annealing restarts per solve.
     pub restarts: usize,
@@ -118,7 +118,7 @@ pub fn policies() -> Vec<(&'static str, ReplanPolicy, AdmissionPolicy)> {
     ]
 }
 
-/// Serve the stream under one policy (analytic candidate scoring).
+/// Serve the stream under one policy.
 pub fn serve(
     cfg: &OnlineDriftConfig,
     policy: ReplanPolicy,
@@ -129,18 +129,14 @@ pub fn serve(
         iterations: cfg.iterations,
         restarts: cfg.restarts,
         seed: SOLVER_SEED,
-        ..AnnealConfig::default()
     };
     let rt_cfg = RuntimeConfig {
         epoch: Duration::from_mins(30.0),
         policy,
         admission,
-        warm: WarmStart::default(),
-        forecast: true,
         seed: SOLVER_SEED,
         protocol: cast_runtime::MigrationProtocol::Unsafe,
         migration_fault_prob: 0.0,
-        scoring: CandidateScoring::Analytic,
         skip: cast_runtime::SkipPolicy::default(),
     };
     OnlineRuntime::new(&estimator, anneal, rt_cfg)

@@ -175,19 +175,6 @@ impl CastBuilder {
         })
     }
 
-    /// Profile and build an online-serving façade in one step: the
-    /// framework plus an epoch-loop runtime configuration (see
-    /// [`Cast::online`] for the borrowing variant).
-    pub fn online(
-        self,
-        cfg: cast_runtime::RuntimeConfig,
-    ) -> Result<OnlineCast, crate::error::CastError> {
-        Ok(OnlineCast {
-            cast: self.build()?,
-            cfg,
-        })
-    }
-
     /// Build with an already-profiled estimator (skips profiling — used by
     /// tests and by callers that persist the model matrix).
     pub fn build_with_estimator(self, estimator: Estimator) -> Cast {
@@ -355,34 +342,6 @@ impl Cast {
     }
 }
 
-/// An owned online-serving façade: a profiled [`Cast`] framework bound to
-/// a [`cast_runtime::RuntimeConfig`], built by [`CastBuilder::online`].
-#[derive(Debug, Clone)]
-pub struct OnlineCast {
-    cast: Cast,
-    cfg: cast_runtime::RuntimeConfig,
-}
-
-impl OnlineCast {
-    /// Serve `stream` to completion.
-    pub fn run(
-        &self,
-        stream: &cast_workload::ArrivalStream,
-    ) -> Result<cast_runtime::OnlineReport, crate::error::CastError> {
-        self.cast.online(self.cfg).run(stream).map_err(Into::into)
-    }
-
-    /// The underlying framework (planning and deployment still work).
-    pub fn cast(&self) -> &Cast {
-        &self.cast
-    }
-
-    /// The runtime configuration this façade serves under.
-    pub fn config(&self) -> &cast_runtime::RuntimeConfig {
-        &self.cfg
-    }
-}
-
 /// The annealer's starting point: the best-estimated of the greedy plans
 /// and the four uniform plans (§4.2.2: "the results from the greedy
 /// algorithm or the characteristics of analytics applications ... can be
@@ -454,17 +413,9 @@ mod tests {
             policy: cast_runtime::ReplanPolicy::Periodic,
             ..cast_runtime::RuntimeConfig::default()
         };
-        // The borrowing and owned façades serve the same stream
-        // identically (same estimator, annealer and config).
         let report = fw.online(cfg).run(&stream).unwrap();
         assert_eq!(report.jobs_completed, stream.total_jobs());
         assert!(report.total_cost > 0.0);
-        let owned = OnlineCast {
-            cast: fw.clone(),
-            cfg,
-        };
-        let again = owned.run(&stream).unwrap();
-        assert_eq!(report, again);
     }
 
     #[test]

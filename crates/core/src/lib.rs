@@ -43,6 +43,6 @@ pub mod report;
 
 pub use deploy::{deploy_observed, deploy_with_faults, DeployError, DeployOutcome};
 pub use error::{CastError, CastErrorKind};
-pub use framework::{Cast, CastBuilder, OnlineCast, PlanStrategy, Planned};
+pub use framework::{Cast, CastBuilder, PlanStrategy, Planned};
 pub use goals::TenantGoal;
 pub use report::{DeploymentReport, ResilienceReport};

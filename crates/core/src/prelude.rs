@@ -8,7 +8,7 @@
 // unified error type every façade method returns.
 pub use crate::deploy::{DeployError, DeployOutcome};
 pub use crate::error::{CastError, CastErrorKind};
-pub use crate::framework::{Cast, CastBuilder, OnlineCast, PlanStrategy, Planned};
+pub use crate::framework::{Cast, CastBuilder, PlanStrategy, Planned};
 pub use crate::goals::TenantGoal;
 pub use crate::report::{DeploymentReport, ResilienceReport};
 
@@ -36,11 +36,9 @@ pub use cast_workload::{
     AppKind, ArrivalConfig, ArrivalProcess, ArrivalStream, DriftConfig, Job, JobId, WorkloadSpec,
 };
 
-// Online runtime: rolling-horizon replanning over an arrival stream, and
-// the simulation-backed candidate scoring used at live replan points.
-pub use cast_runtime::{
-    AdmissionPolicy, CandidateScoring, OnlineReport, OnlineRuntime, ReplanPolicy, RuntimeConfig,
-};
+// Online runtime: rolling-horizon replanning over an arrival stream,
+// served through `Cast::online`.
+pub use cast_runtime::{AdmissionPolicy, OnlineReport, OnlineRuntime, ReplanPolicy, RuntimeConfig};
 
 // Observability: attach a recording `Collector` via the `Observe` trait
 // (`X::new(..).observe(collector)` at every layer), then drain its trace

@@ -73,10 +73,10 @@ pub struct FleetConfig {
     /// Priority-admission knobs shared by every shard.
     pub admission: AdmissionConfig,
     /// Per-tenant runtime configuration (epoch cadence, replan policy,
-    /// protocol, scoring).
+    /// admission, migration protocol, skip gate).
     pub runtime: RuntimeConfig,
-    /// Cold-start anneal schedule per tenant (replans use
-    /// `runtime.warm`).
+    /// Cold-start anneal schedule per tenant (replans resume on
+    /// [`cast_solver::Annealer::resume_from`]'s fixed warm schedule).
     pub anneal: AnnealConfig,
     /// Cross-tenant solve dedup mode (see [`DedupMode`]).
     pub dedup: DedupMode,

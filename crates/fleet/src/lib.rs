@@ -8,8 +8,8 @@
 //!   onto `N` independent capacity pools via splitmix64, stably and
 //!   machine-independently.
 //! * [`Fleet`] — the epoch scheduler: per-tenant replan epochs
-//!   ([`cast_runtime::TenantSession`], warm starts and what-if scoring
-//!   included) dispatched across [`cast_sim::par`]'s worker pool.
+//!   ([`cast_runtime::TenantSession`], warm starts and the replan-skip
+//!   gate included) dispatched across [`cast_sim::par`]'s worker pool.
 //! * [`admit_epoch`] — shared-capacity accounting: per-epoch priority
 //!   admission over each shard's [`cast_cloud::CapacityLedger`], with
 //!   weighted max-min fair share for best-effort classes and

@@ -5,9 +5,9 @@
 //! registry, the config and the estimator — never of the worker count
 //! serving the plan/execute phases. These properties pin the report's
 //! *JSON serialisation* byte-identical across 1, 2 and 8 workers and
-//! across shard counts, under migration fault plans, safe protocols,
-//! ForkLive what-if scoring, and capacity pressure that exercises the
-//! partial-grant and deferral paths.
+//! across shard counts, under migration fault plans, safe protocols and
+//! capacity pressure that exercises the partial-grant and deferral
+//! paths.
 
 use proptest::prelude::*;
 
@@ -18,7 +18,7 @@ use cast_estimator::model::{CapacityCurve, ModelMatrix, PhaseBw};
 use cast_estimator::mrcute::ClusterSpec;
 use cast_estimator::Estimator;
 use cast_fleet::{DedupMode, Fleet, FleetConfig, FleetReport, TenantRegistry};
-use cast_runtime::{CandidateScoring, MigrationProtocol, ReplanPolicy, RuntimeConfig, SkipPolicy};
+use cast_runtime::{MigrationProtocol, ReplanPolicy, RuntimeConfig, SkipPolicy};
 use cast_solver::AnnealConfig;
 use cast_workload::profile::ProfileSet;
 use cast_workload::{tenant_fleet, AppKind, FleetWorkloadConfig};
@@ -62,7 +62,6 @@ struct Scenario {
     seed: u64,
     capacity_gb: f64,
     faulty: bool,
-    scoring: CandidateScoring,
 }
 
 fn scenario_strategy() -> impl Strategy<Value = Scenario> {
@@ -74,18 +73,14 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
         // partial grants, deferrals and rejections through admission.
         prop::sample::select(vec![100_000.0, 120.0]),
         prop::sample::select(vec![false, true]),
-        prop::sample::select(vec![CandidateScoring::Analytic, CandidateScoring::ForkLive]),
     )
-        .prop_map(
-            |(tenants, shards, seed, capacity_gb, faulty, scoring)| Scenario {
-                tenants,
-                shards,
-                seed,
-                capacity_gb,
-                faulty,
-                scoring,
-            },
-        )
+        .prop_map(|(tenants, shards, seed, capacity_gb, faulty)| Scenario {
+            tenants,
+            shards,
+            seed,
+            capacity_gb,
+            faulty,
+        })
 }
 
 fn fleet_config(sc: &Scenario, workers: usize) -> FleetConfig {
@@ -101,7 +96,6 @@ fn fleet_config(sc: &Scenario, workers: usize) -> FleetConfig {
                 MigrationProtocol::default()
             },
             migration_fault_prob: if sc.faulty { 0.3 } else { 0.0 },
-            scoring: sc.scoring,
             seed: sc.seed,
             ..RuntimeConfig::default()
         },
@@ -109,7 +103,6 @@ fn fleet_config(sc: &Scenario, workers: usize) -> FleetConfig {
             iterations: 200,
             restarts: 1,
             seed: sc.seed ^ 0xCA57,
-            ..AnnealConfig::default()
         },
         ..FleetConfig::default()
     }
@@ -148,7 +141,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The fleet contract: for every worker count the merged report's
-    /// JSON is byte-identical, fault plans and what-if scoring included.
+    /// JSON is byte-identical, fault plans included.
     #[test]
     fn merged_report_is_byte_identical_across_workers(sc in scenario_strategy()) {
         let est = estimator(4);
@@ -168,8 +161,8 @@ proptest! {
     /// The fast planning path is invisible in the results: grouped
     /// exact-dedup solves and the exact replan-skip gate produce a
     /// merged report byte-identical to always-fresh planning (dedup
-    /// off, skip gate disabled), at every worker count, fault plans and
-    /// what-if scoring included.
+    /// off, skip gate disabled), at every worker count, fault plans
+    /// included.
     #[test]
     fn dedup_and_exact_skip_match_always_fresh_planning(sc in scenario_strategy()) {
         let est = estimator(4);
@@ -205,7 +198,6 @@ fn cloned_tenants_dedup_into_shared_solves() {
         seed: 0xDEDA,
         capacity_gb: 100_000.0,
         faulty: false,
-        scoring: CandidateScoring::Analytic,
     };
     let template = tenant_fleet(&FleetWorkloadConfig {
         seed: sc.seed,
@@ -261,7 +253,6 @@ fn tight_pools_exercise_contention_paths() {
         seed: 0x7E57,
         capacity_gb: 40.0,
         faulty: false,
-        scoring: CandidateScoring::Analytic,
     };
     let (json1, report) = serve(&est, &sc, 1);
     let contended: usize = report
@@ -286,7 +277,6 @@ fn repeated_runs_are_byte_identical() {
         seed: 0xF1EE7,
         capacity_gb: 100_000.0,
         faulty: true,
-        scoring: CandidateScoring::ForkLive,
     };
     let (a, _) = serve(&est, &sc, 2);
     let (b, _) = serve(&est, &sc, 2);

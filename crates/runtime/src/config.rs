@@ -4,7 +4,6 @@
 use serde::{Deserialize, Serialize};
 
 use cast_cloud::units::Duration;
-use cast_solver::WarmStart;
 
 /// When and whether the runtime re-runs the solver at epoch boundaries.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -95,30 +94,6 @@ impl MigrationProtocol {
     }
 }
 
-/// How an epoch's candidate plans are scored at the replan point.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CandidateScoring {
-    /// Estimator-only (Eq. 4) scoring — the original behaviour; the
-    /// simulator runs once, on the committed plan.
-    #[default]
-    Analytic,
-    /// Simulate the shared prefix once, snapshot the live engine at the
-    /// replan horizon, and fork one engine per candidate
-    /// ([`cast_sim::EngineSnapshot::fork`]). Byte-identical decisions to
-    /// re-simulating every candidate from the epoch boundary.
-    ForkLive,
-}
-
-impl CandidateScoring {
-    /// Short label for tables and result files.
-    pub fn label(&self) -> &'static str {
-        match self {
-            CandidateScoring::Analytic => "analytic",
-            CandidateScoring::ForkLive => "fork-live",
-        }
-    }
-}
-
 /// When the runtime may skip the annealer entirely at an epoch boundary
 /// and keep serving the incumbent plan.
 ///
@@ -177,14 +152,6 @@ pub struct RuntimeConfig {
     pub policy: ReplanPolicy,
     /// Admission control for deadline workflows.
     pub admission: AdmissionPolicy,
-    /// Warm-start schedule for replans (ignored by
-    /// [`ReplanPolicy::Static`] after its first solve).
-    pub warm: WarmStart,
-    /// Rolling horizon: when `true`, the planning spec at each boundary
-    /// also contains forecast clones of the previous window's jobs, so
-    /// the plan anticipates the near future instead of overfitting the
-    /// current batch.
-    pub forecast: bool,
     /// Base seed for per-epoch solver reseeding (decorrelates successive
     /// replans; the run stays a pure function of seed + config).
     pub seed: u64,
@@ -197,15 +164,6 @@ pub struct RuntimeConfig {
     /// (sampled per attempt from a keyed RNG, so sweeps are monotone).
     /// `0.0` = faultless migrations.
     pub migration_fault_prob: f64,
-    /// How the epoch's candidate plans are scored at the replan point.
-    /// The default, [`CandidateScoring::Analytic`], trusts the Eq. 4
-    /// estimator and simulates only the committed plan — the behaviour
-    /// the runtime always had. [`CandidateScoring::ForkLive`] redirects
-    /// still-waiting jobs mid-epoch and commits the winning what-if
-    /// fork's result: the decisions cold re-simulation of every
-    /// candidate would make (fork equivalence) at a fraction of the
-    /// replan latency.
-    pub scoring: CandidateScoring,
     /// Replan-skip gate (see [`SkipPolicy`]). `serde(default)` keeps old
     /// serialized configs loadable.
     #[serde(default)]
@@ -218,12 +176,9 @@ impl Default for RuntimeConfig {
             epoch: Duration::from_mins(30.0),
             policy: ReplanPolicy::Hysteresis { min_gain: 0.02 },
             admission: AdmissionPolicy::AcceptAll,
-            warm: WarmStart::default(),
-            forecast: true,
             seed: 0xCA57_0711,
             protocol: MigrationProtocol::default(),
             migration_fault_prob: 0.0,
-            scoring: CandidateScoring::default(),
             skip: SkipPolicy::default(),
         }
     }
@@ -251,24 +206,27 @@ mod tests {
     }
 
     #[test]
-    fn scoring_labels_and_default() {
-        assert_eq!(CandidateScoring::default(), CandidateScoring::Analytic);
-        assert_eq!(CandidateScoring::Analytic.label(), "analytic");
-        assert_eq!(CandidateScoring::ForkLive.label(), "fork-live");
-    }
-
-    #[test]
     fn config_roundtrips_through_json() {
         let cfg = RuntimeConfig {
             policy: ReplanPolicy::Hysteresis { min_gain: 0.05 },
             admission: AdmissionPolicy::Deadline { slack: 1.2 },
             protocol: MigrationProtocol::safe(),
             migration_fault_prob: 0.25,
-            scoring: CandidateScoring::ForkLive,
             ..RuntimeConfig::default()
         };
         let json = serde_json::to_string(&cfg).unwrap();
-        let back: RuntimeConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(cfg, back);
+        // Configs saved by older versions may still carry the retired
+        // `warm`, `forecast` and `scoring` fields; unknown fields are
+        // ignored.
+        let old = json.replacen(
+            '{',
+            "{\"warm\":{\"temp_frac\":0.25,\"iterations\":3000},\
+             \"forecast\":false,\"scoring\":\"Analytic\",",
+            1,
+        );
+        for text in [json, old] {
+            let back: RuntimeConfig = serde_json::from_str(&text).unwrap();
+            assert_eq!(cfg, back);
+        }
     }
 }

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use cast_cloud::units::Duration;
 use cast_estimator::EstimatorError;
 use cast_sim::SimError;
 use cast_solver::SolverError;
@@ -20,6 +21,9 @@ pub enum RuntimeError {
     Estimator(EstimatorError),
     /// Cluster provisioning failed.
     Cloud(cast_cloud::CloudError),
+    /// `RuntimeConfig::epoch` is zero, negative or NaN: the stream
+    /// cannot be cut into epochs.
+    InvalidEpoch(Duration),
 }
 
 impl fmt::Display for RuntimeError {
@@ -30,6 +34,9 @@ impl fmt::Display for RuntimeError {
             RuntimeError::Sim(e) => write!(f, "simulation error: {e}"),
             RuntimeError::Estimator(e) => write!(f, "estimator error: {e}"),
             RuntimeError::Cloud(e) => write!(f, "cloud error: {e}"),
+            RuntimeError::InvalidEpoch(d) => {
+                write!(f, "invalid epoch length {d}: epochs must be positive")
+            }
         }
     }
 }

@@ -10,8 +10,10 @@
 //!    boundary (or later, when the previous batch overruns); fresh data
 //!    lands on each app's ingest tier, distilled from the incumbent plan.
 //! 2. **Replan** — per [`ReplanPolicy`], the annealer re-runs
-//!    *warm-started* from the incumbent ([`cast_solver::WarmStart`]) over
-//!    a rolling horizon of known + forecast jobs ([`forecast`]).
+//!    *warm-started* from the incumbent
+//!    ([`cast_solver::Annealer::resume_from`]: a fixed, cooler and
+//!    shorter schedule than a cold solve) over a rolling horizon of the
+//!    batch plus a persistence forecast of the next one ([`forecast`]).
 //! 3. **Adopt or veto** — [`ReplanPolicy::Hysteresis`] adopts the
 //!    candidate only when it beats the incumbent placement by a minimum
 //!    relative utility gain, so marginal wins cause zero data movement.
@@ -38,9 +40,7 @@ pub mod report;
 pub mod runtime;
 pub mod session;
 
-pub use config::{
-    AdmissionPolicy, CandidateScoring, MigrationProtocol, ReplanPolicy, RuntimeConfig, SkipPolicy,
-};
+pub use config::{AdmissionPolicy, MigrationProtocol, ReplanPolicy, RuntimeConfig, SkipPolicy};
 pub use error::RuntimeError;
 pub use forecast::{is_forecast, planning_spec, strip_forecast, FORECAST_ID_BASE};
 pub use migrate::{execute_schedule, home_tier, plan_delta, MigrationSchedule, ProtocolOutcome};

@@ -45,9 +45,6 @@ pub struct EpochReport {
     pub backoff_secs: f64,
     /// Annealing moves spent replanning (0 when no replan ran).
     pub replan_moves: usize,
-    /// Winning what-if candidate under simulated scoring (0 = the
-    /// committed plan stood; always 0 under analytic scoring).
-    pub whatif_winner: usize,
     /// Simulated makespan of the batch (migrations included), seconds.
     pub makespan_secs: f64,
     /// Compute rent for the epoch, dollars.
@@ -148,7 +145,6 @@ mod tests {
             wasted_mb: 0.0,
             backoff_secs: 0.0,
             replan_moves: 500,
-            whatif_winner: 0,
             makespan_secs: 80.0,
             vm_cost: cost,
             storage_cost: cost / 2.0,

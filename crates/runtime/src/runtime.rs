@@ -55,8 +55,8 @@ impl cast_obs::Observe for OnlineRuntime<'_> {
 
 impl<'a> OnlineRuntime<'a> {
     /// Create a runtime. `anneal` is the *cold-start* solver schedule;
-    /// replans after the first run a scaled-down warm schedule
-    /// (`cfg.warm`).
+    /// replans after the first resume from the incumbent on
+    /// [`cast_solver::Annealer::resume_from`]'s fixed warm schedule.
     pub fn new(estimator: &'a Estimator, anneal: AnnealConfig, cfg: RuntimeConfig) -> Self {
         OnlineRuntime {
             estimator,
@@ -415,7 +415,6 @@ mod tests {
         s: &ArrivalStream,
     ) -> (String, Vec<crate::PlanProvenance>, Vec<bool>) {
         let mut cfg = quick_cfg(ReplanPolicy::Periodic);
-        cfg.forecast = false;
         cfg.skip = skip;
         let rt = OnlineRuntime::new(est, quick_anneal(400), cfg);
         let mut session = rt.session(s.clone());
@@ -503,33 +502,22 @@ mod tests {
     }
 
     #[test]
-    fn fork_live_matches_analytic_until_its_first_redirect() {
-        // Candidate 0 of every what-if slate is the committed plan and a
-        // fork resumes exactly, so until the first epoch whose winning
-        // fork redirects waiting jobs, `ForkLive` serves the stream
-        // byte-for-byte as analytic scoring does.
+    fn non_positive_epochs_are_rejected() {
+        // Unchecked, a zero epoch makes `ceil(horizon / epoch)` u32::MAX
+        // idle boundaries and a negative one serves nothing: both must
+        // be errors, not an empty `Ok` report.
         let est = estimator(4);
-        let serve = |scoring| {
+        for mins in [-30.0, 0.0, f64::NAN] {
             let cfg = RuntimeConfig {
-                scoring,
+                epoch: Duration::from_mins(mins),
                 ..quick_cfg(ReplanPolicy::Periodic)
             };
-            OnlineRuntime::new(&est, quick_anneal(400), cfg)
-                .run(&stream(3))
-                .unwrap()
-                .epochs
-        };
-        let analytic = serve(crate::CandidateScoring::Analytic);
-        let fork_live = serve(crate::CandidateScoring::ForkLive);
-        let first = fork_live
-            .iter()
-            .position(|e| e.whatif_winner > 0)
-            .expect("some epoch must redirect, or the comparison is vacuous");
-        assert!(first > 0, "no epoch precedes the first redirect");
-        for (a, f) in analytic[..first].iter().zip(&fork_live[..first]) {
-            assert_eq!(
-                serde_json::to_string(a).unwrap(),
-                serde_json::to_string(f).unwrap()
+            let err = OnlineRuntime::new(&est, quick_anneal(300), cfg)
+                .run(&stream(7))
+                .expect_err("a non-positive epoch must be rejected");
+            assert!(
+                matches!(err, RuntimeError::InvalidEpoch(_)),
+                "epoch {mins} min: {err}"
             );
         }
     }

@@ -32,10 +32,7 @@ use cast_cloud::units::{DataSize, Duration};
 use cast_estimator::Estimator;
 use cast_obs::{Collector, EventBody, Observe};
 use cast_sim::config::Concurrency;
-use cast_sim::{
-    pick_winner, prepare_runs, score_forked, CandidateOverride, Engine, EngineScratch,
-    JobPlacement, SimConfig,
-};
+use cast_sim::{prepare_runs, Engine, EngineScratch, SimConfig};
 use cast_solver::objective::provision_round;
 use cast_solver::{
     class_signature, evaluate, AnnealConfig, Annealer, Assignment, EvalContext, TieringPlan,
@@ -45,7 +42,7 @@ use cast_workload::{
     splitmix64, AppKind, Arrival, ArrivalStream, DatasetId, Job, ProfileSet, WorkloadSpec,
 };
 
-use crate::config::{AdmissionPolicy, CandidateScoring, ReplanPolicy, RuntimeConfig};
+use crate::config::{AdmissionPolicy, ReplanPolicy, RuntimeConfig};
 use crate::error::RuntimeError;
 use crate::forecast::{planning_spec, strip_forecast};
 use crate::migrate::{execute_schedule, plan_delta, MigrationSchedule};
@@ -66,17 +63,6 @@ pub const INGEST_FALLBACK: Tier = Tier::PersSsd;
 /// dedup bit-identical to fresh solves *by construction* rather than by
 /// approximation.
 const SOLVE_SEED_SALT: u64 = 0x5EED_CA57_0000_0001;
-
-/// Under [`CandidateScoring::ForkLive`], the fraction of the epoch length
-/// that elapses (in simulated time) before the mid-epoch what-if fires:
-/// enough for the batch's early waves to be genuinely in flight, enough
-/// epoch left for a redirect to matter.
-const WHATIF_HORIZON_FRACTION: f64 = 0.5;
-
-/// Worker threads fanning what-if candidates out. Any value yields the
-/// same decisions ([`cast_sim::par::run_indexed`]'s determinism
-/// contract), so this only trades replan latency for cores.
-const WHATIF_WORKERS: usize = 4;
 
 /// How a [`PlannedEpoch`]'s execution plan was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -301,7 +287,10 @@ pub struct TenantSession<'a> {
 
 impl<'a> TenantSession<'a> {
     /// Open a session over `stream`. `anneal` is the cold-start solver
-    /// schedule; replans after the first run the scaled-down `cfg.warm`.
+    /// schedule; replans after the first resume from the incumbent on
+    /// [`Annealer::resume_from`]'s fixed warm schedule. A non-positive
+    /// `cfg.epoch` is reported by the first
+    /// [`TenantSession::begin_epoch`].
     pub fn new(
         estimator: &'a Estimator,
         anneal: AnnealConfig,
@@ -375,6 +364,9 @@ impl<'a> TenantSession<'a> {
     /// carrying everything the annealer needs.
     pub fn begin_epoch(&mut self, k: u32) -> Result<PlanPhase, RuntimeError> {
         let epoch_len = self.cfg.epoch;
+        if epoch_len.secs().is_nan() || epoch_len.secs() <= 0.0 {
+            return Err(RuntimeError::InvalidEpoch(epoch_len));
+        }
         let t0 = epoch_len * k as f64;
         let t1 = epoch_len * (k + 1) as f64;
         // Deferred batches go first: they arrived earlier, and their
@@ -415,11 +407,7 @@ impl<'a> TenantSession<'a> {
             return Ok(PlanPhase::Planned(seal_without_solve(batch)?));
         }
 
-        let pspec = if self.cfg.forecast {
-            planning_spec(&batch.spec, &self.prev_jobs)
-        } else {
-            batch.spec.clone()
-        };
+        let pspec = planning_spec(&batch.spec, &self.prev_jobs);
         let init = ingest_plan(&pspec, &self.ingest_map);
         let inputs = canonical_inputs(&pspec, &init, self.solved_once)?;
         let signature = solve_signature(self.cfg.seed, &pspec, &inputs);
@@ -479,7 +467,7 @@ impl<'a> TenantSession<'a> {
         let annealer = Annealer::new(acfg).observe(self.obs.clone());
         let t_wall = std::time::Instant::now();
         let outcome = if pending.inputs.warm {
-            annealer.resume_from(&pctx, pending.init.clone(), self.cfg.warm)?
+            annealer.resume_from(&pctx, pending.init.clone())?
         } else {
             annealer.solve(&pctx, pending.init.clone())?
         };
@@ -650,34 +638,10 @@ impl<'a> TenantSession<'a> {
                 exec.assign(jid, a);
             }
         }
-        // Simulate the epoch on one live, observed engine. Under analytic
-        // scoring it runs to the end. Under `ForkLive` the committed plan
-        // is only the leading candidate: at the mid-epoch horizon the
-        // engine is snapshotted, one fork per candidate redirects the
-        // still-waiting jobs, and the winning fork's report *is* the
-        // epoch result (fork equivalence makes that the decision cold
-        // re-simulation would commit).
         let runs = prepare_runs(&batch.spec, &exec.to_placements(), &protocol.flows, &scfg)?;
-        let mut live =
-            Engine::observed_with_scratch(&scfg, runs, self.obs.clone(), &mut self.scratch);
-        let (report, whatif_winner) = match self.cfg.scoring {
-            CandidateScoring::Analytic => (live.run()?, 0),
-            CandidateScoring::ForkLive => {
-                let t_wall = std::time::Instant::now();
-                live.run_until(self.cfg.epoch.secs() * WHATIF_HORIZON_FRACTION)?;
-                let slate = candidate_slate(&batch.spec, &capacities);
-                let mut reports = score_forked(&live.snapshot(), &slate, WHATIF_WORKERS)?;
-                let winner =
-                    pick_winner(&reports).expect("the slate leads with the committed plan");
-                self.obs
-                    .gauge("runtime.whatif_latency.wall")
-                    .set(t_wall.elapsed().as_secs_f64());
-                if winner > 0 {
-                    self.obs.counter("runtime.whatif_redirects").inc();
-                }
-                (reports.swap_remove(winner), winner)
-            }
-        };
+        let report =
+            Engine::observed_with_scratch(&scfg, runs, self.obs.clone(), &mut self.scratch)
+                .run()?;
         // Retry backoff is wall time the protocol serialized into the
         // epoch on top of the simulated flows.
         let makespan = report.makespan + Duration::from_secs(protocol.backoff_secs);
@@ -784,7 +748,6 @@ impl<'a> TenantSession<'a> {
             wasted_mb: protocol.wasted_mb,
             backoff_secs: protocol.backoff_secs,
             replan_moves,
-            whatif_winner,
             makespan_secs: makespan.secs(),
             vm_cost: cost.vm.dollars(),
             storage_cost: cost.storage_total().dollars(),
@@ -1024,42 +987,6 @@ pub fn majority_tiers(spec: &WorkloadSpec, plan: &TieringPlan) -> Vec<(AppKind, 
     out
 }
 
-/// The committed plan's slate of what-if alternatives: index 0 is the
-/// committed plan itself (no overrides), followed by one uniform
-/// redirect of every job to each viable tier, in tier order. Only
-/// provisioned services are viable — an unprovisioned tier has zero
-/// bandwidth and can only stall — and ephSSD / objStore placements also
-/// lean on their backing tier. Overrides only take effect on jobs still
-/// waiting at the replan horizon, so the redirects answer "move
-/// everything not yet started to tier t".
-fn candidate_slate(
-    spec: &WorkloadSpec,
-    capacities: &PerTier<DataSize>,
-) -> Vec<Vec<CandidateOverride>> {
-    let has = |t: Tier| capacities.get(t).gb() > 0.0;
-    let viable = Tier::ALL.into_iter().filter(|&t| {
-        has(t)
-            && match t {
-                Tier::EphSsd => has(Tier::ObjStore),
-                Tier::ObjStore => has(Tier::PersSsd),
-                _ => true,
-            }
-    });
-    let mut slate = vec![Vec::new()];
-    for tier in viable {
-        slate.push(
-            spec.jobs
-                .iter()
-                .map(|j| CandidateOverride {
-                    job: j.id,
-                    placement: JobPlacement::all_on(tier),
-                })
-                .collect(),
-        );
-    }
-    slate
-}
-
 /// Report row for a boundary whose every arrival was rejected: nothing
 /// ran, nothing was provisioned, nothing cost anything.
 fn empty_epoch(k: u32, boundary: Duration, start: Duration, rejected: usize) -> EpochReport {
@@ -1069,28 +996,5 @@ fn empty_epoch(k: u32, boundary: Duration, start: Duration, rejected: usize) -> 
         start_secs: start.secs(),
         rejected,
         ..EpochReport::default()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cast_workload::synth;
-
-    #[test]
-    fn slate_leads_with_the_committed_plan() {
-        let spec = synth::workflow_suite(0xD1CE);
-        let everything = PerTier::from_fn(|_| DataSize::from_gb(4000.0));
-        let slate = candidate_slate(&spec, &everything);
-        assert_eq!(slate.len(), 1 + Tier::ALL.len());
-        assert!(slate[0].is_empty(), "index 0 is the no-redirect candidate");
-        assert!(slate[1..].iter().all(|c| c.len() == spec.jobs.len()));
-        // Without an object store, neither it nor the ephSSD it backs
-        // is a redirect target.
-        let no_objstore = PerTier::from_fn(|t| match t {
-            Tier::ObjStore => DataSize::ZERO,
-            _ => DataSize::from_gb(4000.0),
-        });
-        assert_eq!(candidate_slate(&spec, &no_objstore).len(), 1 + 2);
     }
 }

@@ -3,8 +3,11 @@
 //! Starting from an initial plan (usually greedy's output), the annealer
 //! repeatedly scores a random neighbour; better plans are always adopted,
 //! worse ones with probability `exp(Δ/temp)` (Metropolis), and the
-//! temperature decays each iteration via the [`Cooling`] schedule —
-//! "making the search narrower as iterations increase" (§4.2.2).
+//! temperature decays geometrically each iteration — "making the search
+//! narrower as iterations increase" (§4.2.2). The schedule is fixed: a
+//! cold solve starts at temperature 0.3 and cools by 0.998 per
+//! iteration; a warm re-solve ([`Annealer::resume_from`]) starts at a
+//! quarter of that temperature and runs a fixed 3000 iterations.
 //! Utility differences are normalised by the initial score so one
 //! temperature scale works across workloads of any size.
 //!
@@ -28,7 +31,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::cooling::Cooling;
 use crate::diagnostics::SolveDiagnostics;
 use crate::error::SolverError;
 use crate::incremental::{plan_from_assignments, IncrementalEval};
@@ -36,15 +38,28 @@ use crate::neighbor::NeighborGen;
 use crate::objective::{evaluate, EvalContext, PlanEval};
 use crate::plan::{Assignment, TieringPlan};
 
+/// Initial temperature of a cold solve, in normalised-utility units.
+const TEMP_INIT: f64 = 0.3;
+
+/// Geometric cooling factor: `temp ← COOLING · temp` every iteration.
+const COOLING: f64 = 0.998;
+
+/// Start temperature of a warm re-solve. An online replan starts from a
+/// near-optimal incumbent, so a cold start's temperature would walk away
+/// from it before re-converging.
+const WARM_TEMP_INIT: f64 = TEMP_INIT * 0.25;
+
+/// Iteration budget of a warm re-solve, per restart. Fixed rather than
+/// relative to the cold budget: warm solves reach their best at a median
+/// of ~930 and a p90 of ~2370 moves, so a budget tied to a short cold
+/// schedule would cut most of them off.
+const WARM_ITERATIONS: usize = 3_000;
+
 /// Annealer parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AnnealConfig {
     /// Iteration budget (`iter_max` of Algorithm 2) per restart.
     pub iterations: usize,
-    /// Initial temperature (in normalised-utility units).
-    pub temp_init: f64,
-    /// Cooling schedule.
-    pub cooling: Cooling,
     /// RNG seed (restart 0 uses it verbatim; restarts `1..N` derive
     /// theirs via [`restart_seed`]).
     pub seed: u64,
@@ -58,36 +73,8 @@ impl Default for AnnealConfig {
     fn default() -> Self {
         AnnealConfig {
             iterations: 12_000,
-            temp_init: 0.3,
-            cooling: Cooling::default_geometric(),
             seed: 0xCA57,
             restarts: 1,
-        }
-    }
-}
-
-/// Parameters of a warm-started re-solve (see [`Annealer::resume_from`]).
-///
-/// An online replan starts from a near-optimal incumbent, so it neither
-/// needs nor wants the full cold-start schedule: a high initial
-/// temperature would walk away from the incumbent before re-converging,
-/// and a full iteration budget wastes replan latency. A `WarmStart`
-/// scales both down.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WarmStart {
-    /// Fraction of the base config's `temp_init` to resume at, in
-    /// `(0, 1]`. Low values keep the chain near the incumbent; 1.0
-    /// reproduces a cold start's schedule.
-    pub temp_frac: f64,
-    /// Iteration budget for the resumed solve (per restart).
-    pub iterations: usize,
-}
-
-impl Default for WarmStart {
-    fn default() -> Self {
-        WarmStart {
-            temp_frac: 0.25,
-            iterations: 3_000,
         }
     }
 }
@@ -165,6 +152,9 @@ fn pick_best<P>(
 #[derive(Debug, Clone)]
 pub struct Annealer {
     cfg: AnnealConfig,
+    /// Start temperature: `TEMP_INIT`, or `WARM_TEMP_INIT` under
+    /// [`Annealer::resume_from`].
+    temp_init: f64,
     obs: Collector,
 }
 
@@ -183,6 +173,7 @@ impl Annealer {
     pub fn new(cfg: AnnealConfig) -> Annealer {
         Annealer {
             cfg,
+            temp_init: TEMP_INIT,
             obs: Collector::noop(),
         }
     }
@@ -237,27 +228,26 @@ impl Annealer {
     /// replan path).
     ///
     /// Identical to [`Annealer::solve`] except the schedule: the chain
-    /// resumes at `temp_init × warm.temp_frac` and runs `warm.iterations`
-    /// moves per restart. Because every chain's best-so-far starts at the
-    /// incumbent, the outcome can never score below it — warm starts are
-    /// monotone. The incumbent must assign every job in `ctx.spec` (jobs
-    /// it does not cover would poison scoring; extend the plan before
-    /// resuming).
+    /// resumes at a quarter of the cold start temperature and runs 3000
+    /// moves per restart, whatever `cfg.iterations` says. Because every
+    /// chain's best-so-far starts at the incumbent, the outcome can never
+    /// score below it — warm starts are monotone. The incumbent must
+    /// assign every job in `ctx.spec` (jobs it does not cover would
+    /// poison scoring; extend the plan before resuming).
     pub fn resume_from(
         &self,
         ctx: &EvalContext<'_>,
         incumbent: TieringPlan,
-        warm: WarmStart,
     ) -> Result<AnnealOutcome, SolverError> {
-        let scaled = Annealer {
+        let warm = Annealer {
             cfg: AnnealConfig {
-                temp_init: self.cfg.temp_init * warm.temp_frac.clamp(f64::MIN_POSITIVE, 1.0),
-                iterations: warm.iterations,
+                iterations: WARM_ITERATIONS,
                 ..self.cfg
             },
+            temp_init: WARM_TEMP_INIT,
             obs: self.obs.clone(),
         };
-        scaled.solve(ctx, incumbent)
+        warm.solve(ctx, incumbent)
     }
 
     /// One annealing chain over [`IncrementalEval`] state. Mirrors
@@ -287,12 +277,12 @@ impl Annealer {
             ..SolveDiagnostics::default()
         };
         let mut events = ChainEvents::new(&self.obs, restart, seed);
-        let mut temp = self.cfg.temp_init;
+        let mut temp = self.temp_init;
         let mut moves: Vec<(cast_workload::JobId, Assignment)> = Vec::new();
         let mut undo: Vec<(cast_workload::JobId, Assignment)> = Vec::new();
 
         for iter in 0..self.cfg.iterations {
-            temp = self.cfg.cooling.step(temp);
+            temp *= COOLING;
             gen.propose(|j| state.assignment(j), &mut rng, None, &mut moves);
             state.apply(&moves, &mut undo);
             let n_score = state.score()?;
@@ -405,12 +395,12 @@ impl Annealer {
             ..SolveDiagnostics::default()
         };
         let mut events = ChainEvents::new(&self.obs, restart, seed);
-        let mut temp = self.cfg.temp_init;
+        let mut temp = self.temp_init;
         let mut moves: Vec<(cast_workload::JobId, Assignment)> = Vec::new();
         let mut undo: Vec<(cast_workload::JobId, Assignment)> = Vec::new();
 
         for iter in 0..self.cfg.iterations {
-            temp = self.cfg.cooling.step(temp);
+            temp *= COOLING;
             let cursor = cursor_order.map(|ord| ord[iter % ord.len()]);
             gen.propose(|j| current.get(j), &mut rng, cursor, &mut moves);
             undo.clear();
@@ -763,14 +753,7 @@ mod tests {
         let init = TieringPlan::uniform(&spec, Tier::PersHdd);
         let cold = Annealer::new(quick_cfg(5)).solve(&ctx, init).unwrap();
         let warm = Annealer::new(quick_cfg(6))
-            .resume_from(
-                &ctx,
-                cold.plan.clone(),
-                WarmStart {
-                    temp_frac: 0.2,
-                    iterations: 200,
-                },
-            )
+            .resume_from(&ctx, cold.plan.clone())
             .unwrap();
         assert!(
             warm.eval.utility >= cold.eval.utility - 1e-15,
@@ -791,10 +774,10 @@ mod tests {
             .unwrap();
         let target = incumbent.eval.utility;
         let warm = Annealer::new(quick_cfg(12))
-            .resume_from(&ctx, incumbent.plan, WarmStart::default())
+            .resume_from(&ctx, incumbent.plan)
             .unwrap();
         let cold = Annealer::new(AnnealConfig {
-            iterations: WarmStart::default().iterations,
+            iterations: WARM_ITERATIONS,
             seed: 12,
             ..AnnealConfig::default()
         })
@@ -820,10 +803,10 @@ mod tests {
         let init = TieringPlan::uniform(&spec, Tier::ObjStore);
         let incumbent = Annealer::new(quick_cfg(17)).solve(&ctx, init).unwrap();
         let a = Annealer::new(quick_cfg(18))
-            .resume_from(&ctx, incumbent.plan.clone(), WarmStart::default())
+            .resume_from(&ctx, incumbent.plan.clone())
             .unwrap();
         let b = Annealer::new(quick_cfg(18))
-            .resume_from(&ctx, incumbent.plan, WarmStart::default())
+            .resume_from(&ctx, incumbent.plan)
             .unwrap();
         assert_eq!(a.plan, b.plan);
         assert_eq!(a.eval.utility.to_bits(), b.eval.utility.to_bits());

@@ -28,6 +28,12 @@ use crate::neighbor::NeighborGen;
 use crate::objective::{evaluate, provision_round, EvalContext, PlanEval};
 use crate::plan::TieringPlan;
 
+/// Fraction of each deadline the solver actually plans to (planning
+/// slack absorbing the estimator's single-digit-percent error; a plan
+/// that is predicted to finish exactly at the deadline would miss it
+/// half the time).
+const DEADLINE_MARGIN: f64 = 0.94;
+
 /// CAST++ parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CastPlusPlusConfig {
@@ -35,11 +41,6 @@ pub struct CastPlusPlusConfig {
     pub utility_anneal: AnnealConfig,
     /// Annealer settings for each per-workflow cost solve.
     pub workflow_anneal: AnnealConfig,
-    /// Fraction of each deadline the solver actually plans to (planning
-    /// slack absorbing the estimator's single-digit-percent error; a plan
-    /// that is predicted to finish exactly at the deadline would miss it
-    /// half the time).
-    pub deadline_margin: f64,
 }
 
 impl Default for CastPlusPlusConfig {
@@ -50,7 +51,6 @@ impl Default for CastPlusPlusConfig {
                 iterations: 2500,
                 ..AnnealConfig::default()
             },
-            deadline_margin: 0.94,
         }
     }
 }
@@ -163,7 +163,7 @@ impl CastPlusPlus {
         let jobs: Vec<JobId> = dfs;
         let gen = NeighborGen::new(jobs, Vec::new());
         let annealer = Annealer::new(self.cfg.workflow_anneal).observe(self.obs.clone());
-        let planning_deadline = wf.deadline * self.cfg.deadline_margin;
+        let planning_deadline = wf.deadline * DEADLINE_MARGIN;
         // Score-only closure: the annealer materialises nothing per
         // neighbour; callers needing a full evaluation run it once on the
         // winning plan.
@@ -366,7 +366,6 @@ mod tests {
                 iterations: 600,
                 ..AnnealConfig::default()
             },
-            deadline_margin: 0.94,
         }
     }
 

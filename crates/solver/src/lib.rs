@@ -28,7 +28,6 @@
 
 pub mod anneal;
 pub mod castpp;
-pub mod cooling;
 pub mod diagnostics;
 pub mod error;
 pub mod greedy;
@@ -37,9 +36,8 @@ pub mod neighbor;
 pub mod objective;
 pub mod plan;
 
-pub use anneal::{restart_seed, AnnealConfig, Annealer, SearchOutcome, WarmStart};
+pub use anneal::{restart_seed, AnnealConfig, Annealer, SearchOutcome};
 pub use castpp::{CastPlusPlus, CastPlusPlusConfig};
-pub use cooling::Cooling;
 pub use diagnostics::SolveDiagnostics;
 pub use error::SolverError;
 pub use greedy::{greedy_plan, GreedyMode};

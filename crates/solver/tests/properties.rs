@@ -248,7 +248,6 @@ fn multi_restart_is_schedule_independent() {
             iterations: 400,
             seed: base,
             restarts,
-            ..AnnealConfig::default()
         };
         let a = Annealer::new(cfg).solve(&ctx, init.clone()).expect("solve");
         let b = Annealer::new(cfg).solve(&ctx, init.clone()).expect("solve");

@@ -21,7 +21,6 @@ const EXPECTED: &[&str] = &[
     "ArrivalStream",
     "Assignment",
     "Bandwidth",
-    "CandidateScoring",
     "Cast",
     "CastBuilder",
     "CastError",
@@ -44,7 +43,6 @@ const EXPECTED: &[&str] = &[
     "ModelMatrix",
     "Money",
     "Observe",
-    "OnlineCast",
     "OnlineReport",
     "OnlineRuntime",
     "PlanStrategy",

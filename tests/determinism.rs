@@ -73,22 +73,24 @@ fn online_serving_is_bit_deterministic() {
     // and simulation — is rebuilt from scratch each time; the serialized
     // reports must be byte-identical.
     let serve = |restarts: usize| {
-        let online = Cast::builder()
+        let framework = Cast::builder()
             .nvm(2)
             .profiler(common::quick_profiler())
             .anneal(AnnealConfig {
                 iterations: 300,
                 restarts,
                 seed: 11,
-                ..AnnealConfig::default()
             })
+            .build()
+            .expect("framework build");
+        let report = framework
             .online(RuntimeConfig {
                 epoch: Duration::from_mins(15.0),
                 policy: ReplanPolicy::Periodic,
                 ..RuntimeConfig::default()
             })
-            .expect("online build");
-        let report = online.run(&stream).expect("online run");
+            .run(&stream)
+            .expect("online run");
         serde_json::to_string(&report).expect("report serializes")
     };
     assert_eq!(serve(1), serve(1), "single-restart replay must be exact");

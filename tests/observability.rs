@@ -226,7 +226,6 @@ proptest! {
             iterations: 200,
             seed,
             restarts: 2,
-            ..Default::default()
         };
         let init = TieringPlan::uniform(&spec, tier);
         let plain = Annealer::new(cfg).solve(&ctx, init.clone()).expect("solve");

@@ -168,7 +168,7 @@ proptest! {
         crash_at in 5.0f64..120.0,
         frac in 0.0f64..1.0,
     ) {
-        use cast::sim::{prepare_runs, Engine, MigrationSpec};
+        use cast::sim::{prepare_runs, Engine, EngineScratch, MigrationSpec};
 
         let mut cfg = sim_config(2);
         cfg.faults = FaultPlan {
@@ -197,15 +197,27 @@ proptest! {
 
         let (fresh, _) = Engine::new(&cfg, runs.clone()).finish().expect("fresh run");
 
-        let mut live = Engine::new(&cfg, runs);
+        let fresh_json = serde_json::to_string(&fresh).expect("serializable");
+        let mut live = Engine::new(&cfg, runs.clone());
         live.run_until(fresh.makespan.secs() * frac).expect("prefix");
         let snapshot = live.snapshot();
         let (forked, _) = snapshot.fork().finish().expect("forked run");
+        prop_assert_eq!(&fresh_json, &serde_json::to_string(&forked).expect("serializable"));
 
-        prop_assert_eq!(
-            serde_json::to_string(&fresh).expect("serializable"),
-            serde_json::to_string(&forked).expect("serializable")
-        );
+        // The same fork off a live engine built on a reused scratch, as
+        // a serving session reuses its scratch every epoch: a different
+        // run stopped mid-way first leaves its flows, heaps and pending
+        // retries behind for the next engine's set-up to clear.
+        let mut scratch = EngineScratch::default();
+        let other = PlacementMap::uniform(spec.jobs.iter().map(|j| j.id), mig_to);
+        let other_runs = prepare_runs(&spec, &other, &[], &cfg).expect("lowering");
+        Engine::with_scratch(&cfg, other_runs, &mut scratch)
+            .run_until(fresh.makespan.secs() * 0.5)
+            .expect("dirtying prefix");
+        let mut live = Engine::with_scratch(&cfg, runs, &mut scratch);
+        live.run_until(fresh.makespan.secs() * frac).expect("prefix");
+        let (forked, _) = live.snapshot().fork().finish().expect("forked run");
+        prop_assert_eq!(&fresh_json, &serde_json::to_string(&forked).expect("serializable"));
     }
 }
 
