@@ -7,12 +7,15 @@ use cast_cloud::cost::{CostBreakdown, CostModel};
 use cast_cloud::tier::PerTier;
 use cast_cloud::units::{DataSize, Duration};
 use cast_estimator::Estimator;
+use cast_obs::Collector;
 use cast_sim::config::SimConfig;
 use cast_sim::metrics::SimReport;
 use cast_sim::SimError;
 use cast_solver::objective::provision_round;
 use cast_solver::TieringPlan;
 use cast_workload::spec::WorkloadSpec;
+
+use crate::error::CastError;
 
 /// What actually happened when the plan ran.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -29,83 +32,21 @@ pub struct DeployOutcome {
     pub capacities: PerTier<DataSize>,
 }
 
-/// Error deploying a plan: either the plan itself is malformed or the
-/// simulation failed.
-#[derive(Debug)]
-pub enum DeployError {
-    /// The plan is incomplete or violates a constraint.
-    Plan(cast_solver::SolverError),
-    /// Provisioning or simulation failed.
-    Sim(SimError),
-}
-
-impl std::fmt::Display for DeployError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DeployError::Plan(e) => write!(f, "plan error: {e}"),
-            DeployError::Sim(e) => write!(f, "simulation error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for DeployError {}
-
-impl From<cast_solver::SolverError> for DeployError {
-    fn from(e: cast_solver::SolverError) -> Self {
-        DeployError::Plan(e)
-    }
-}
-
-impl From<SimError> for DeployError {
-    fn from(e: SimError) -> Self {
-        DeployError::Sim(e)
-    }
-}
-
-impl From<cast_cloud::CloudError> for DeployError {
-    fn from(e: cast_cloud::CloudError) -> Self {
-        DeployError::Sim(SimError::Cloud(e))
-    }
-}
-
-/// Provision and run. Capacities come from the plan (with the paper's
+/// Provision the cluster per the plan, run the workload on it and price
+/// the run; the simulation records its job/phase/wave/task spans into
+/// `collector`. Capacities come from the plan (with the paper's
 /// scratch/backing conventions and volume-granularity rounding).
-pub fn deploy(
+pub(crate) fn deploy(
     estimator: &Estimator,
     spec: &WorkloadSpec,
     plan: &TieringPlan,
-) -> Result<DeployOutcome, DeployError> {
-    deploy_with_faults(estimator, spec, plan, &cast_sim::FaultPlan::default())
-}
-
-/// [`deploy`], but replaying the solved plan under a fault-injection
-/// scenario. With the default (empty) plan this is bit-identical to
-/// [`deploy`].
-pub fn deploy_with_faults(
-    estimator: &Estimator,
-    spec: &WorkloadSpec,
-    plan: &TieringPlan,
-    faults: &cast_sim::FaultPlan,
-) -> Result<DeployOutcome, DeployError> {
-    deploy_observed(estimator, spec, plan, faults, &cast_obs::Collector::noop())
-}
-
-/// [`deploy_with_faults`] with an observability collector: the simulated
-/// run records its job/phase/wave/task spans, tier-contention samples and
-/// fault edges into `collector`. The outcome is bit-identical to the
-/// unobserved call.
-pub fn deploy_observed(
-    estimator: &Estimator,
-    spec: &WorkloadSpec,
-    plan: &TieringPlan,
-    faults: &cast_sim::FaultPlan,
-    collector: &cast_obs::Collector,
-) -> Result<DeployOutcome, DeployError> {
+    collector: &Collector,
+) -> Result<DeployOutcome, CastError> {
     let raw = plan.capacities(spec, true)?;
     let capacities = provision_round(estimator, &raw);
     let nvm = estimator.cluster.nvm;
-    let mut cfg = SimConfig::with_aggregate_capacity(estimator.catalog.clone(), nvm, &capacities)?;
-    cfg.faults = faults.clone();
+    let cfg = SimConfig::with_aggregate_capacity(estimator.catalog.clone(), nvm, &capacities)
+        .map_err(SimError::Cloud)?;
     let report = cast_sim::Sim::builder(&cfg, spec, &plan.to_placements())
         .collector(collector.clone())
         .build()?
@@ -170,7 +111,7 @@ mod tests {
         let est = estimator(2);
         let spec = synth::single_job(AppKind::Grep, DataSize::from_gb(20.0));
         let plan = TieringPlan::uniform(&spec, Tier::PersSsd);
-        let out = deploy(&est, &spec, &plan).unwrap();
+        let out = deploy(&est, &spec, &plan, &Collector::noop()).unwrap();
         assert!(out.makespan.secs() > 0.0);
         assert!(out.utility > 0.0);
         assert!(out.cost.total().dollars() > 0.0);
@@ -178,29 +119,11 @@ mod tests {
     }
 
     #[test]
-    fn faulted_deploy_degrades_and_empty_plan_matches() {
-        let est = estimator(2);
-        let spec = synth::single_job(AppKind::Grep, DataSize::from_gb(20.0));
-        let plan = TieringPlan::uniform(&spec, Tier::PersSsd);
-        let baseline = deploy(&est, &spec, &plan).unwrap();
-        let same = deploy_with_faults(&est, &spec, &plan, &cast_sim::FaultPlan::default()).unwrap();
-        assert_eq!(baseline.report, same.report, "empty plan must be a no-op");
-        let faults = cast_sim::FaultPlan {
-            max_task_attempts: 8,
-            ..cast_sim::FaultPlan::with_task_failures(0.4)
-        };
-        let faulted = deploy_with_faults(&est, &spec, &plan, &faults).unwrap();
-        assert!(faulted.report.faults.task_failures > 0);
-        assert!(faulted.makespan.secs() > baseline.makespan.secs());
-        assert!(faulted.utility < baseline.utility);
-    }
-
-    #[test]
     fn ephemeral_deployment_provisions_backing_store() {
         let est = estimator(2);
         let spec = synth::single_job(AppKind::Sort, DataSize::from_gb(20.0));
         let plan = TieringPlan::uniform(&spec, Tier::EphSsd);
-        let out = deploy(&est, &spec, &plan).unwrap();
+        let out = deploy(&est, &spec, &plan, &Collector::noop()).unwrap();
         assert!(out.capacities.get(Tier::EphSsd).gb() >= 375.0);
         assert!(out.capacities.get(Tier::ObjStore).gb() > 0.0);
         // The simulation should include staging.

@@ -2,62 +2,30 @@
 //!
 //! Each layer of the pipeline keeps its own error enum
 //! ([`cast_estimator::EstimatorError`], [`cast_solver::SolverError`],
-//! [`cast_sim::SimError`], [`crate::deploy::DeployError`]) — those stay
+//! [`cast_sim::SimError`], [`cast_runtime::RuntimeError`]) — those stay
 //! the precise, matchable types for callers working inside one layer.
-//! [`CastError`] wraps all of them so the façade's methods share one
-//! `Result` surface and callers can `?` across layers without manual
-//! conversions. [`CastError::kind`] gives a stable, lightweight
-//! classification for logging and retry policies.
+//! [`CastError`] wraps each of them once, so the façade's methods share
+//! one `Result` surface and callers can `?` across layers without manual
+//! conversions. The variant names the layer that failed.
 
 use cast_estimator::EstimatorError;
 use cast_runtime::RuntimeError;
 use cast_sim::SimError;
 use cast_solver::SolverError;
 
-use crate::deploy::DeployError;
-
 /// Any failure the [`crate::framework::Cast`] façade can surface.
 #[derive(Debug)]
 pub enum CastError {
     /// Offline profiling or model fitting failed.
     Estimator(EstimatorError),
-    /// Planning failed (malformed plan, infeasible constraint, …).
+    /// Planning failed, or a plan handed to deployment is malformed
+    /// (unassigned job, infeasible constraint, …).
     Solver(SolverError),
-    /// The cluster simulation rejected its inputs or failed to run.
+    /// Provisioning or the cluster simulation failed; a provisioning
+    /// failure arrives as [`SimError::Cloud`].
     Sim(SimError),
-    /// Deployment failed (plan validation or simulation at deploy time).
-    Deploy(DeployError),
     /// The online tiering runtime failed mid-stream.
     Runtime(RuntimeError),
-}
-
-/// Stable classification of a [`CastError`], independent of the wrapped
-/// error's payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CastErrorKind {
-    /// From the estimator layer.
-    Estimator,
-    /// From the solver layer.
-    Solver,
-    /// From the simulator layer.
-    Sim,
-    /// From the deployment layer.
-    Deploy,
-    /// From the online runtime layer.
-    Runtime,
-}
-
-impl CastError {
-    /// Which layer produced the error.
-    pub fn kind(&self) -> CastErrorKind {
-        match self {
-            CastError::Estimator(_) => CastErrorKind::Estimator,
-            CastError::Solver(_) => CastErrorKind::Solver,
-            CastError::Sim(_) => CastErrorKind::Sim,
-            CastError::Deploy(_) => CastErrorKind::Deploy,
-            CastError::Runtime(_) => CastErrorKind::Runtime,
-        }
-    }
 }
 
 impl std::fmt::Display for CastError {
@@ -66,7 +34,6 @@ impl std::fmt::Display for CastError {
             CastError::Estimator(e) => write!(f, "estimator error: {e}"),
             CastError::Solver(e) => write!(f, "solver error: {e}"),
             CastError::Sim(e) => write!(f, "simulation error: {e}"),
-            CastError::Deploy(e) => write!(f, "deployment error: {e}"),
             CastError::Runtime(e) => write!(f, "runtime error: {e}"),
         }
     }
@@ -78,7 +45,6 @@ impl std::error::Error for CastError {
             CastError::Estimator(e) => Some(e),
             CastError::Solver(e) => Some(e),
             CastError::Sim(e) => Some(e),
-            CastError::Deploy(e) => Some(e),
             CastError::Runtime(e) => Some(e),
         }
     }
@@ -102,12 +68,6 @@ impl From<SimError> for CastError {
     }
 }
 
-impl From<DeployError> for CastError {
-    fn from(e: DeployError) -> Self {
-        CastError::Deploy(e)
-    }
-}
-
 impl From<RuntimeError> for CastError {
     fn from(e: RuntimeError) -> Self {
         CastError::Runtime(e)
@@ -119,14 +79,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kinds_are_stable_and_displayed() {
+    fn variants_display_their_layer_and_source() {
         let e: CastError = SolverError::Unassigned(3).into();
-        assert_eq!(e.kind(), CastErrorKind::Solver);
+        assert!(matches!(e, CastError::Solver(SolverError::Unassigned(3))));
         assert!(e.to_string().contains("solver error"));
+        assert!(std::error::Error::source(&e).is_some());
         let e: CastError = SimError::MissingPlacement(1).into();
-        assert_eq!(e.kind(), CastErrorKind::Sim);
-        let e: CastError = DeployError::Plan(SolverError::Unassigned(0)).into();
-        assert_eq!(e.kind(), CastErrorKind::Deploy);
+        assert!(matches!(e, CastError::Sim(SimError::MissingPlacement(1))));
+        assert!(e.to_string().contains("simulation error"));
         assert!(std::error::Error::source(&e).is_some());
     }
 }

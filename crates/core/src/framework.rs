@@ -17,6 +17,7 @@ use cast_workload::profile::ProfileSet;
 use cast_workload::spec::WorkloadSpec;
 
 use crate::deploy::{self, DeployOutcome};
+use crate::error::CastError;
 
 /// Which planner produces the tiering plan — the eight configurations of
 /// Fig. 7 plus CAST++.
@@ -85,8 +86,6 @@ pub struct Planned {
 #[derive(Debug, Clone)]
 pub struct Cast {
     estimator: Estimator,
-    anneal: AnnealConfig,
-    castpp: CastPlusPlusConfig,
     obs: cast_obs::Collector,
 }
 
@@ -95,10 +94,7 @@ pub struct Cast {
 pub struct CastBuilder {
     catalog: Catalog,
     cluster: ClusterSpec,
-    profiles: ProfileSet,
     profiler: ProfilerConfig,
-    anneal: AnnealConfig,
-    castpp: CastPlusPlusConfig,
     obs: cast_obs::Collector,
 }
 
@@ -107,10 +103,7 @@ impl Default for CastBuilder {
         CastBuilder {
             catalog: Catalog::google_cloud(),
             cluster: ClusterSpec::paper(),
-            profiles: ProfileSet::defaults(),
             profiler: ProfilerConfig::default(),
-            anneal: AnnealConfig::default(),
-            castpp: CastPlusPlusConfig::default(),
             obs: cast_obs::Collector::noop(),
         }
     }
@@ -129,59 +122,32 @@ impl CastBuilder {
         self
     }
 
-    /// Override application profiles.
-    pub fn profiles(mut self, profiles: ProfileSet) -> Self {
-        self.profiles = profiles;
-        self
-    }
-
     /// Override profiling parameters.
     pub fn profiler(mut self, cfg: ProfilerConfig) -> Self {
         self.profiler = cfg;
         self
     }
 
-    /// Override annealing parameters.
-    pub fn anneal(mut self, cfg: AnnealConfig) -> Self {
-        self.anneal = cfg;
-        self.castpp.utility_anneal = cfg;
-        self
-    }
-
-    /// Run every annealing solve as `n` parallel restart chains (best of
-    /// N by `(score, seed)`; deterministic for any thread count). Applies
-    /// to CAST's utility solve and both CAST++ phases.
-    pub fn restarts(mut self, n: usize) -> Self {
-        let n = n.max(1);
-        self.anneal.restarts = n;
-        self.castpp.utility_anneal.restarts = n;
-        self.castpp.workflow_anneal.restarts = n;
-        self
-    }
-
     /// Run the offline profiling campaign and produce the framework.
-    pub fn build(self) -> Result<Cast, crate::error::CastError> {
-        let matrix = profile_all(&self.catalog, &self.profiles, &self.profiler)?;
+    pub fn build(self) -> Result<Cast, CastError> {
+        let profiles = ProfileSet::defaults();
+        let matrix = profile_all(&self.catalog, &profiles, &self.profiler)?;
         Ok(Cast {
             estimator: Estimator {
                 matrix,
                 catalog: self.catalog,
                 cluster: self.cluster,
-                profiles: self.profiles,
+                profiles,
             },
-            anneal: self.anneal,
-            castpp: self.castpp,
             obs: self.obs,
         })
     }
 
     /// Build with an already-profiled estimator (skips profiling — used by
-    /// tests and by callers that persist the model matrix).
+    /// callers that persist the model matrix).
     pub fn build_with_estimator(self, estimator: Estimator) -> Cast {
         Cast {
             estimator,
-            anneal: self.anneal,
-            castpp: self.castpp,
             obs: self.obs,
         }
     }
@@ -217,18 +183,10 @@ impl Cast {
         &self.estimator
     }
 
-    /// The attached collector (no-op unless [`cast_obs::Observe::observe`]
-    /// was called).
-    pub fn collector(&self) -> &cast_obs::Collector {
-        &self.obs
-    }
-
-    /// Produce a tiering plan for `spec` with `strategy`.
-    pub fn plan(
-        &self,
-        spec: &WorkloadSpec,
-        strategy: PlanStrategy,
-    ) -> Result<Planned, crate::error::CastError> {
+    /// Produce a tiering plan for `spec` with `strategy`. The annealing
+    /// strategies run the default schedules ([`AnnealConfig::default`],
+    /// [`CastPlusPlusConfig::default`]).
+    pub fn plan(&self, spec: &WorkloadSpec, strategy: PlanStrategy) -> Result<Planned, CastError> {
         let ctx = EvalContext::new(&self.estimator, spec);
         match strategy {
             PlanStrategy::Uniform(tier) => {
@@ -260,7 +218,7 @@ impl Cast {
             }
             PlanStrategy::Cast => {
                 let init = best_init(&ctx)?;
-                let out = Annealer::new(self.anneal)
+                let out = Annealer::new(AnnealConfig::default())
                     .observe(self.obs.clone())
                     .solve(&ctx, init)?;
                 Ok(Planned {
@@ -270,7 +228,7 @@ impl Cast {
                 })
             }
             PlanStrategy::CastPlusPlus => {
-                let out = CastPlusPlus::new(self.castpp)
+                let out = CastPlusPlus::new(CastPlusPlusConfig::default())
                     .observe(self.obs.clone())
                     .solve(&ctx)?;
                 Ok(Planned {
@@ -282,62 +240,26 @@ impl Cast {
         }
     }
 
-    /// Plan for a high-level tenant goal (Fig. 6's "tenant goals" input):
-    /// utility maximisation runs plain CAST; deadline-bound goals run the
-    /// full CAST++ pipeline.
-    pub fn plan_for_goal(
-        &self,
-        spec: &WorkloadSpec,
-        goal: crate::goals::TenantGoal,
-    ) -> Result<Planned, crate::error::CastError> {
-        let strategy = if goal.needs_workflow_awareness() {
-            PlanStrategy::CastPlusPlus
-        } else {
-            PlanStrategy::Cast
-        };
-        self.plan(spec, strategy)
-    }
-
-    /// Deploy a plan on the simulated cluster and measure the outcome.
+    /// Deploy a plan on the simulated cluster and measure the outcome;
+    /// the run records into the attached collector. A malformed plan is
+    /// [`CastError::Solver`]; a provisioning or simulation failure is
+    /// [`CastError::Sim`].
     pub fn deploy(
         &self,
         spec: &WorkloadSpec,
         plan: &TieringPlan,
-    ) -> Result<DeployOutcome, crate::error::CastError> {
-        self.deploy_with_faults(spec, plan, &cast_sim::FaultPlan::default())
-    }
-
-    /// Deploy a plan under a fault-injection scenario.
-    pub fn deploy_with_faults(
-        &self,
-        spec: &WorkloadSpec,
-        plan: &TieringPlan,
-        faults: &cast_sim::FaultPlan,
-    ) -> Result<DeployOutcome, crate::error::CastError> {
-        deploy::deploy_observed(&self.estimator, spec, plan, faults, &self.obs).map_err(Into::into)
-    }
-
-    /// Stress-test a solved plan: deploy it fault-free and again under
-    /// `faults`, reporting the runtime and utility degradation the tenant
-    /// would see on an unreliable cluster.
-    pub fn resilience(
-        &self,
-        spec: &WorkloadSpec,
-        plan: &TieringPlan,
-        faults: &cast_sim::FaultPlan,
-    ) -> Result<crate::report::ResilienceReport, crate::error::CastError> {
-        let baseline = self.deploy(spec, plan)?;
-        let faulted = self.deploy_with_faults(spec, plan, faults)?;
-        Ok(crate::report::ResilienceReport { baseline, faulted })
+    ) -> Result<DeployOutcome, CastError> {
+        deploy::deploy(&self.estimator, spec, plan, &self.obs)
     }
 
     /// Serve an arrival stream online: an epoch loop that replans
     /// (warm-started from the incumbent) and migrates data as the
     /// workload drifts. The returned runtime borrows this framework's
-    /// estimator and inherits its annealing parameters and collector;
-    /// call [`cast_runtime::OnlineRuntime::run`] on it.
+    /// estimator, cold-solves with the default annealing schedule
+    /// ([`AnnealConfig::default`]) and inherits the collector; call
+    /// [`cast_runtime::OnlineRuntime::run`] on it.
     pub fn online(&self, cfg: cast_runtime::RuntimeConfig) -> cast_runtime::OnlineRuntime<'_> {
-        cast_runtime::OnlineRuntime::new(&self.estimator, self.anneal, cfg)
+        cast_runtime::OnlineRuntime::new(&self.estimator, AnnealConfig::default(), cfg)
             .observe(self.obs.clone())
     }
 }
@@ -346,7 +268,7 @@ impl Cast {
 /// and the four uniform plans (§4.2.2: "the results from the greedy
 /// algorithm or the characteristics of analytics applications ... can be
 /// used to devise an initial placement").
-pub fn best_init(ctx: &EvalContext<'_>) -> Result<TieringPlan, SolverError> {
+fn best_init(ctx: &EvalContext<'_>) -> Result<TieringPlan, SolverError> {
     let mut candidates = vec![
         greedy_plan(ctx, GreedyMode::OverProvisioned)?,
         greedy_plan(ctx, GreedyMode::ExactFit)?,
@@ -382,10 +304,6 @@ mod tests {
         CastBuilder::default()
             .nvm(4)
             .profiler(profiler)
-            .anneal(AnnealConfig {
-                iterations: 300,
-                ..AnnealConfig::default()
-            })
             .build()
             .unwrap()
     }
@@ -439,49 +357,16 @@ mod tests {
     }
 
     #[test]
-    fn goals_select_the_right_solver() {
+    fn strategies_select_the_right_solver() {
         let fw = quick_framework();
         let spec = synth::fig4_workflow();
-        // Deadline goals must produce per-workflow evaluations.
-        let deadline = fw
-            .plan_for_goal(&spec, crate::goals::TenantGoal::MeetDeadlinesMinCost)
-            .unwrap();
+        // Deadline-bound workloads plan with CAST++, which evaluates each
+        // workflow.
+        let deadline = fw.plan(&spec, PlanStrategy::CastPlusPlus).unwrap();
         assert_eq!(deadline.workflows.len(), 1);
-        // Utility goals run plain CAST (no workflow evaluations).
-        let utility = fw
-            .plan_for_goal(&spec, crate::goals::TenantGoal::MaxUtility)
-            .unwrap();
+        // Utility maximisation runs plain CAST (no workflow evaluations).
+        let utility = fw.plan(&spec, PlanStrategy::Cast).unwrap();
         assert!(utility.workflows.is_empty());
-    }
-
-    #[test]
-    fn multi_restart_cast_plans_are_deterministic() {
-        let profiler = ProfilerConfig {
-            nvm: 2,
-            reference_input: DataSize::from_gb(20.0),
-            block_grid: vec![100.0, 400.0, 1600.0],
-            eph_grid: vec![375.0],
-            objstore_scratch_gb: 100.0,
-        };
-        let fw = CastBuilder::default()
-            .nvm(4)
-            .profiler(profiler)
-            .anneal(AnnealConfig {
-                iterations: 300,
-                ..AnnealConfig::default()
-            })
-            .restarts(3)
-            .build()
-            .unwrap();
-        let spec = synth::prediction_workload();
-        let a = fw.plan(&spec, PlanStrategy::Cast).unwrap();
-        let b = fw.plan(&spec, PlanStrategy::Cast).unwrap();
-        assert_eq!(a.plan, b.plan);
-        assert_eq!(a.eval.utility.to_bits(), b.eval.utility.to_bits());
-        // Best-of-3 includes the base chain, so it cannot lose to the
-        // single-restart framework.
-        let single = quick_framework().plan(&spec, PlanStrategy::Cast).unwrap();
-        assert!(a.eval.utility >= single.eval.utility);
     }
 
     #[test]

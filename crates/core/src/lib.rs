@@ -3,7 +3,7 @@
 //! The CAST framework façade — the end-to-end pipeline of Fig. 6:
 //!
 //! ```text
-//!  workload spec + tenant goals + cloud service specs
+//!  workload spec + plan strategy + cloud service specs
 //!        │
 //!        ▼
 //!  1. job performance estimator  (offline profiling → M̂, REG splines)
@@ -18,9 +18,10 @@
 //!  deployment                    (provision volumes, run the workload)
 //! ```
 //!
-//! [`framework::Cast`] owns the profiled estimator and answers planning
-//! requests; [`deploy`] materialises a plan on the simulated cluster and
-//! measures what actually happened; [`report`] compares the two.
+//! [`framework::Cast`] owns the profiled estimator and has one method per
+//! step: [`Cast::plan`] solves with a [`PlanStrategy`], [`Cast::deploy`]
+//! materialises the plan on the simulated cluster and measures what
+//! actually happened, and [`report`] compares the two.
 //!
 //! ```no_run
 //! use cast_core::prelude::*;
@@ -37,12 +38,10 @@
 pub mod deploy;
 pub mod error;
 pub mod framework;
-pub mod goals;
 pub mod prelude;
 pub mod report;
 
-pub use deploy::{deploy_observed, deploy_with_faults, DeployError, DeployOutcome};
-pub use error::{CastError, CastErrorKind};
+pub use deploy::DeployOutcome;
+pub use error::CastError;
 pub use framework::{Cast, CastBuilder, PlanStrategy, Planned};
-pub use goals::TenantGoal;
-pub use report::{DeploymentReport, ResilienceReport};
+pub use report::DeploymentReport;

@@ -4,13 +4,12 @@
 //! use cast_core::prelude::*;
 //! ```
 
-// Façade: the framework object, its strategies, goals, reports, and the
+// Façade: the framework object, its strategies, reports, and the
 // unified error type every façade method returns.
-pub use crate::deploy::{DeployError, DeployOutcome};
-pub use crate::error::{CastError, CastErrorKind};
+pub use crate::deploy::DeployOutcome;
+pub use crate::error::CastError;
 pub use crate::framework::{Cast, CastBuilder, PlanStrategy, Planned};
-pub use crate::goals::TenantGoal;
-pub use crate::report::{DeploymentReport, ResilienceReport};
+pub use crate::report::DeploymentReport;
 
 // Cloud model: provider catalogs, storage tiers, and the unit types that
 // appear throughout the API surface.
@@ -21,8 +20,7 @@ pub use cast_cloud::{Catalog, Tier};
 pub use cast_estimator::{Estimator, ModelMatrix};
 
 // Simulator: the unified entry point (`Sim::builder`), live-state capture
-// for what-if forks, and fault-injection inputs for deploy-time stress
-// tests.
+// for what-if forks, and the fault-injection inputs a `SimConfig` carries.
 pub use cast_sim::{
     DegradationWindow, EngineSnapshot, FaultPlan, RunState, Sim, SimBuilder, VmCrash,
 };

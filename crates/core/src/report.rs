@@ -73,60 +73,6 @@ impl DeployOutcome {
     }
 }
 
-/// How a solved plan holds up under fault injection: the same workload and
-/// placements deployed fault-free and under a
-/// [`cast_sim::FaultPlan`], side by side.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ResilienceReport {
-    /// Fault-free deployment.
-    pub baseline: DeployOutcome,
-    /// Deployment under the fault plan.
-    pub faulted: DeployOutcome,
-}
-
-impl ResilienceReport {
-    /// Runtime degradation in percent (positive = faults slowed the
-    /// workload down).
-    pub fn runtime_degradation_pct(&self) -> f64 {
-        let base = self.baseline.makespan.secs();
-        if base <= 0.0 {
-            return 0.0;
-        }
-        100.0 * (self.faulted.makespan.secs() - base) / base
-    }
-
-    /// Tenant-utility degradation in percent (positive = faults cost
-    /// utility).
-    pub fn utility_degradation_pct(&self) -> f64 {
-        let base = self.baseline.utility;
-        if base <= 0.0 {
-            return 0.0;
-        }
-        100.0 * (base - self.faulted.utility) / base
-    }
-
-    /// Render a human-readable summary.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let f = &self.faulted.report.faults;
-        let _ = writeln!(out, "=== resilience ===");
-        let _ = writeln!(out, "baseline: {}", self.baseline.render());
-        let _ = writeln!(out, "faulted:  {}", self.faulted.render());
-        let _ = writeln!(
-            out,
-            "faults: {} task failures, {} retries, {} speculations, {} kills, {} VM crashes",
-            f.task_failures, f.retries, f.speculations, f.kills, f.vm_crashes
-        );
-        let _ = writeln!(
-            out,
-            "degradation: runtime +{:.1}%, utility -{:.1}%",
-            self.runtime_degradation_pct(),
-            self.utility_degradation_pct()
-        );
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,23 +114,6 @@ mod tests {
             observed: outcome(100.0),
         };
         assert!((r.time_error_pct() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn resilience_degradation_math() {
-        let r = ResilienceReport {
-            baseline: outcome(100.0),
-            faulted: DeployOutcome {
-                utility: 0.008,
-                ..outcome(125.0)
-            },
-        };
-        assert!((r.runtime_degradation_pct() - 25.0).abs() < 1e-9);
-        assert!((r.utility_degradation_pct() - 20.0).abs() < 1e-9);
-        let s = r.render();
-        assert!(s.contains("runtime +25.0%"));
-        assert!(s.contains("utility -20.0%"));
-        assert!(s.contains("VM crashes"));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! # cast-fleet — sharded multi-tenant tiering service
 //!
 //! One simulated region serving thousands of tenants, each with its own
-//! tiering goal (`cast_core::TenantGoal`), deadlines, drift profile and
-//! arrival stream from [`cast_workload::tenant_fleet`]. The pieces:
+//! class (priority and fair-share weight), workflow deadlines, drift
+//! profile and arrival stream from [`cast_workload::tenant_fleet`]. The
+//! pieces:
 //!
 //! * [`TenantRegistry`] + [`shard_of`] — the shard map: tenants hash
 //!   onto `N` independent capacity pools via splitmix64, stably and

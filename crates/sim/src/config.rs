@@ -9,8 +9,18 @@ use cast_cloud::{Catalog, VmType};
 
 use crate::fault::FaultPlan;
 
-/// Default cap on engine steps before a run is declared runaway.
-pub const DEFAULT_EVENT_BUDGET: u64 = 50_000_000;
+/// Cap on engine steps before a run aborts with
+/// [`crate::error::SimError::EventBudgetExhausted`].
+pub(crate) const EVENT_BUDGET: u64 = 50_000_000;
+
+/// Fraction of VM memory usable as write-back page cache for intermediate
+/// data. Hadoop spills transit the page cache; when a job's intermediate
+/// data fits, most of it never touches the volume.
+const CACHE_FRACTION: f64 = 0.75;
+
+/// Parallel staging/transfer streams per VM (a distcp-style copy job runs
+/// many tasks, amortising per-object request overheads).
+pub(crate) const TRANSFER_STREAMS_PER_VM: usize = 4;
 
 /// How jobs contend for the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -36,19 +46,12 @@ pub struct SimConfig {
     /// Per-VM provisioned capacity on each tier (drives volume bandwidth
     /// via the catalog's scaling models).
     pub plan: ProvisionPlan,
-    /// Fraction of VM memory usable as write-back page cache for
-    /// intermediate data. Hadoop spills transit the page cache; when a
-    /// job's intermediate data fits, most of it never touches the volume.
-    pub cache_fraction: f64,
     /// Deterministic per-task speed jitter amplitude (0 = all tasks of a
     /// wave identical; 0.08 gives ±8 % spread, matching the task-time
     /// variance of a real cluster).
     pub jitter: f64,
     /// Job scheduling mode.
     pub concurrency: Concurrency,
-    /// Parallel staging/transfer streams per VM (a distcp-style copy job
-    /// runs many tasks, amortising per-object request overheads).
-    pub transfer_streams_per_vm: usize,
     /// Fixed per-task framework overhead (JVM launch + scheduling),
     /// seconds. Sets the runtime floor that makes further volume
     /// over-provisioning futile beyond a point (Fig. 2's plateau).
@@ -60,9 +63,6 @@ pub struct SimConfig {
     /// Fault-injection scenario. The default (empty) plan reproduces
     /// fault-free simulations bit-identically.
     pub faults: FaultPlan,
-    /// Maximum engine steps before the run aborts with
-    /// [`crate::error::SimError::EventBudgetExhausted`].
-    pub event_budget: u64,
 }
 
 impl SimConfig {
@@ -83,14 +83,11 @@ impl SimConfig {
             vm,
             nvm,
             plan,
-            cache_fraction: 0.75,
             jitter: 0.08,
             concurrency: Concurrency::Sequential,
-            transfer_streams_per_vm: 4,
             task_startup_secs: 1.5,
             objstore_cluster_mbps: cast_cloud::catalog::OBJSTORE_CLUSTER_MBPS,
             faults: FaultPlan::default(),
-            event_budget: DEFAULT_EVENT_BUDGET,
         })
     }
 
@@ -119,7 +116,7 @@ impl SimConfig {
 
     /// Cluster-wide page-cache budget for intermediate data.
     pub fn cache_budget(&self) -> DataSize {
-        DataSize::from_gb(self.vm.memory_gb * self.cache_fraction) * self.nvm as f64
+        DataSize::from_gb(self.vm.memory_gb * CACHE_FRACTION) * self.nvm as f64
     }
 
     /// Page-cache hit fraction for repeated reads of an `input`-sized
@@ -206,8 +203,14 @@ mod tests {
         });
         let json = serde_json::to_string(&cfg).expect("serialize");
         // Configs saved by older versions may still carry the retired
-        // `collect_trace` field; unknown fields are ignored.
-        let old = json.replacen('{', "{\"collect_trace\":true,", 1);
+        // `collect_trace`, `cache_fraction`, `transfer_streams_per_vm` and
+        // `event_budget` fields; unknown fields are ignored.
+        let old = json.replacen(
+            '{',
+            "{\"collect_trace\":true,\"cache_fraction\":0.75,\
+             \"transfer_streams_per_vm\":4,\"event_budget\":50000000,",
+            1,
+        );
         for text in [json, old] {
             let back: SimConfig = serde_json::from_str(&text).expect("deserialize");
             assert_eq!(cfg, back);

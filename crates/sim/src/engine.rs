@@ -76,7 +76,7 @@ use rand::Rng;
 
 use cast_obs::{Collector, Counter, EventBody, Histogram};
 
-use crate::config::{Concurrency, SimConfig};
+use crate::config::{Concurrency, SimConfig, EVENT_BUDGET};
 use crate::error::SimError;
 use crate::fault::{attempt_rng, FaultPlan};
 use crate::jobrun::{JobPhase, JobRun};
@@ -848,7 +848,7 @@ impl<'a> Engine<'a> {
     #[inline]
     fn bump_events(&mut self) -> Result<(), SimError> {
         self.events += 1;
-        if self.events > self.cfg.event_budget {
+        if self.events > EVENT_BUDGET {
             return Err(self.budget_error(self.events));
         }
         Ok(())

@@ -68,7 +68,7 @@ pub enum SimError {
     EventBudgetExhausted {
         /// Simulated time when the budget ran out.
         at_secs: f64,
-        /// Engine steps executed (equals the configured budget).
+        /// Engine steps executed when the fixed event budget ran out.
         steps: u64,
         /// Tasks in flight at exhaustion.
         active_tasks: usize,

@@ -15,7 +15,7 @@ use cast_cloud::tier::Tier;
 use cast_workload::job::Job;
 use cast_workload::profile::AppProfile;
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, TRANSFER_STREAMS_PER_VM};
 use crate::placement::JobPlacement;
 use crate::task::{SlotKind, StageLabel, StageSpec, TaskTemplate};
 
@@ -249,7 +249,7 @@ impl JobRun {
         if total_mb <= 0.0 {
             return Vec::new();
         }
-        let n = cfg.nvm * cfg.transfer_streams_per_vm.max(1);
+        let n = cfg.nvm * TRANSFER_STREAMS_PER_VM;
         let per_stream = total_mb / n as f64;
         // Objects move in ~256 MB chunks; each pays the per-request setup
         // of whichever endpoint is an object store.
@@ -465,7 +465,7 @@ mod tests {
         let c = cfg();
         let mut run = run_for(AppKind::Sort, 10.0, Tier::EphSsd);
         assert_eq!(run.advance_phase(0.0, &c), JobPhase::StageIn);
-        assert_eq!(run.pending.len(), c.nvm * c.transfer_streams_per_vm);
+        assert_eq!(run.pending.len(), c.nvm * TRANSFER_STREAMS_PER_VM);
         let t = &run.pending[0];
         assert_eq!(t.slot, SlotKind::Transfer);
         let s = &t.stages[0];
@@ -581,7 +581,7 @@ mod tests {
             *profiles.get(AppKind::Grep),
         );
         assert_eq!(run.advance_phase(0.0, &c), JobPhase::StageIn);
-        assert_eq!(run.pending.len(), c.nvm * c.transfer_streams_per_vm);
+        assert_eq!(run.pending.len(), c.nvm * TRANSFER_STREAMS_PER_VM);
         let total: f64 = run.pending.iter().map(|t| t.stages[0].units).sum();
         assert!((total - 12_000.0).abs() / 12_000.0 < 0.1, "moves all bytes");
         let s = &run.pending[0].stages[0];

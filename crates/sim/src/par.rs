@@ -103,18 +103,18 @@ where
 /// order. Under that contract both the returned `Vec` and the final
 /// `states` are bit-identical for every `workers`, including `1`.
 ///
-/// Each slot is wrapped in an uncontended [`Mutex`] (one claimant per
-/// index by construction), so the synchronization cost is a single
-/// lock/unlock pair per task.
+/// With more than one worker, each slot is wrapped in an uncontended
+/// [`Mutex`] (one claimant per index by construction) and the batch runs
+/// on [`run_indexed`]'s pool, so the synchronization cost is a single
+/// lock/unlock pair per task. With one worker the states are visited
+/// inline, without locks.
 pub fn run_indexed_mut<S, T, F>(workers: usize, states: &mut [S], f: F) -> Vec<T>
 where
     S: Send,
     T: Send,
     F: Fn(usize, &mut S) -> T + Sync,
 {
-    let n = states.len();
-    let w = workers.min(n).max(1);
-    if w == 1 {
+    if workers.min(states.len()) <= 1 {
         return states
             .iter_mut()
             .enumerate()
@@ -122,38 +122,10 @@ where
             .collect();
     }
     let cells: Vec<Mutex<&mut S>> = states.iter_mut().map(Mutex::new).collect();
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let f = &f;
-    let next = &next;
-    let cells = &cells;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(w);
-        for _ in 0..w {
-            handles.push(scope.spawn(move || {
-                let mut done: Vec<(usize, T)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let mut state = cells[i].lock().expect("unpoisoned: one claimant per index");
-                    done.push((i, f(i, &mut state)));
-                }
-                done
-            }));
-        }
-        for h in handles {
-            for (i, v) in h.join().expect("parallel worker panicked") {
-                slots[i] = Some(v);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index claimed exactly once"))
-        .collect()
+    run_indexed(workers, cells.len(), |i| {
+        let mut state = cells[i].lock().expect("unpoisoned: one claimant per index");
+        f(i, &mut state)
+    })
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 
 use cast_obs::{Collector, EventBody};
 
-use crate::config::{Concurrency, SimConfig};
+use crate::config::{Concurrency, SimConfig, EVENT_BUDGET};
 use crate::engine::{
     nan_zero, pick_vm, stage_tier, FaultEventKind, FaultState, RetryEntry, SimObs, TaskEventKind,
     BACKUP_BIT, CONTENTION_STRIDE, EPS,
@@ -87,7 +87,6 @@ impl<'a> ReferenceEngine<'a> {
         if let Err(reason) = self.cfg.faults.validate(self.cfg.nvm) {
             return Err(SimError::InvalidFaultPlan { reason });
         }
-        let budget = self.cfg.event_budget;
         let mut events: u64 = 0;
         loop {
             self.process_fault_events();
@@ -104,7 +103,7 @@ impl<'a> ReferenceEngine<'a> {
                 if let Some(wake) = self.next_wake() {
                     self.clock = wake;
                     events += 1;
-                    if events > budget {
+                    if events > EVENT_BUDGET {
                         return Err(self.budget_error(events));
                     }
                     continue;
@@ -113,7 +112,7 @@ impl<'a> ReferenceEngine<'a> {
             }
             self.step()?;
             events += 1;
-            if events > budget {
+            if events > EVENT_BUDGET {
                 return Err(self.budget_error(events));
             }
         }

@@ -18,6 +18,15 @@ pub enum WorkloadError {
     JobInMultipleWorkflows(u32),
     /// A job has a non-positive input size or zero tasks.
     DegenerateJob(u32),
+    /// Two jobs of one workload share an id.
+    DuplicateJob(u32),
+    /// A job reads a dataset the workload does not define.
+    UnknownDataset {
+        /// The job's numeric id.
+        job: u32,
+        /// The missing dataset's numeric id.
+        dataset: u32,
+    },
     /// A synthesis parameter is out of range.
     BadSynthesisParameter(&'static str),
 }
@@ -35,6 +44,10 @@ impl fmt::Display for WorkloadError {
             }
             WorkloadError::DegenerateJob(id) => {
                 write!(f, "job #{id} has no input data or no tasks")
+            }
+            WorkloadError::DuplicateJob(id) => write!(f, "job id #{id} is used more than once"),
+            WorkloadError::UnknownDataset { job, dataset } => {
+                write!(f, "job #{job} reads unknown dataset #{dataset}")
             }
             WorkloadError::BadSynthesisParameter(which) => {
                 write!(f, "synthesis parameter out of range: {which}")

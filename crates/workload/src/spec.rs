@@ -105,10 +105,13 @@ impl WorkloadSpec {
         for j in &self.jobs {
             j.validate()?;
             if !seen.insert(j.id) {
-                return Err(WorkloadError::DegenerateJob(j.id.0));
+                return Err(WorkloadError::DuplicateJob(j.id.0));
             }
             if self.dataset(j.dataset).is_none() {
-                return Err(WorkloadError::UnknownJob(j.id.0));
+                return Err(WorkloadError::UnknownDataset {
+                    job: j.id.0,
+                    dataset: j.dataset.0,
+                });
             }
         }
         let mut in_wf: HashSet<JobId> = HashSet::new();
@@ -178,6 +181,21 @@ mod tests {
         let mut spec = two_job_spec();
         spec.jobs[1].dataset = DatasetId(42);
         assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn validation_names_the_duplicate_job_and_the_missing_dataset() {
+        let mut spec = two_job_spec();
+        spec.jobs[1].id = JobId(0);
+        let err = spec.validate().unwrap_err();
+        assert_eq!(err, WorkloadError::DuplicateJob(0));
+        assert_eq!(err.to_string(), "job id #0 is used more than once");
+
+        let mut spec = two_job_spec();
+        spec.jobs[1].dataset = DatasetId(7);
+        let err = spec.validate().unwrap_err();
+        assert_eq!(err, WorkloadError::UnknownDataset { job: 1, dataset: 7 });
+        assert_eq!(err.to_string(), "job #1 reads unknown dataset #7");
     }
 
     #[test]

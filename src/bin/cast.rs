@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cast catalog                           # print the Table 1 service menu
-//! cast synth [--jobs N] [--share F] > spec.json
+//! cast synth [--jobs N] [--share F] [--seed S] > spec.json
 //! cast plan --spec spec.json [--nvm 25] [--strategy cast++] [--deploy]
 //! cast plan --demo [--strategy cast]     # built-in 4-job demo workload
 //! ```
@@ -12,6 +12,7 @@
 
 use std::fs;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use cast::prelude::*;
 use cast::workload::synth::{facebook_workload, FacebookConfig};
@@ -27,16 +28,16 @@ fn main() -> ExitCode {
         Some("synth") => cmd_synth(&args[1..]),
         Some("plan") => cmd_plan(&args[1..]),
         _ => {
-            eprintln!(
-                "usage:\n  cast catalog\n  cast synth [--jobs N] [--share F]\n  \
-                 cast plan (--spec FILE | --demo) [--nvm N] [--strategy NAME] [--deploy]\n\n\
-                 strategies: ephssd, persssd, pershdd, objstore, greedy, greedy-over,\n\
-                 cast, cast++ (default)"
-            );
+            eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
     }
 }
+
+const USAGE: &str = "usage:\n  cast catalog\n  cast synth [--jobs N] [--share F] [--seed S]\n  \
+                     cast plan (--spec FILE | --demo) [--nvm N] [--strategy NAME] [--deploy]\n\n\
+                     strategies: ephssd, persssd, pershdd, objstore, greedy, greedy-over,\n\
+                     cast, cast++ (default)";
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
@@ -45,15 +46,32 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// The value of flag `name` parsed as `T` (`None` when the flag is
+/// absent). A value that does not parse is reported with the usage line.
+fn parse_flag<T: FromStr>(args: &[String], name: &str, what: &str) -> Result<Option<T>, ExitCode> {
+    flag_value(args, name)
+        .map(|v| {
+            v.parse().map_err(|_| {
+                eprintln!("{name} takes {what}, got {v:?}\n{USAGE}");
+                ExitCode::FAILURE
+            })
+        })
+        .transpose()
+}
+
 fn cmd_synth(args: &[String]) -> ExitCode {
-    let share = flag_value(args, "--share")
-        .map(|v| v.parse::<f64>().expect("--share takes a fraction"))
-        .unwrap_or(0.15);
+    let Ok(share) = parse_flag(args, "--share", "a fraction") else {
+        return ExitCode::FAILURE;
+    };
+    let Ok(seed) = parse_flag(args, "--seed", "an integer") else {
+        return ExitCode::FAILURE;
+    };
+    let Ok(jobs) = parse_flag::<usize>(args, "--jobs", "an integer") else {
+        return ExitCode::FAILURE;
+    };
     let spec = match facebook_workload(FacebookConfig {
-        share_fraction: share,
-        seed: flag_value(args, "--seed")
-            .map(|v| v.parse().expect("--seed takes an integer"))
-            .unwrap_or(42),
+        share_fraction: share.unwrap_or(0.15),
+        seed: seed.unwrap_or(42),
     }) {
         Ok(s) => s,
         Err(e) => {
@@ -62,8 +80,7 @@ fn cmd_synth(args: &[String]) -> ExitCode {
         }
     };
     let mut spec = spec;
-    if let Some(n) = flag_value(args, "--jobs") {
-        let n: usize = n.parse().expect("--jobs takes an integer");
+    if let Some(n) = jobs {
         spec.jobs.truncate(n);
         spec.workflows.clear();
     }
@@ -137,9 +154,10 @@ fn cmd_plan(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let nvm: usize = flag_value(args, "--nvm")
-        .map(|v| v.parse().expect("--nvm takes an integer"))
-        .unwrap_or(25);
+    let Ok(nvm) = parse_flag(args, "--nvm", "an integer") else {
+        return ExitCode::FAILURE;
+    };
+    let nvm: usize = nvm.unwrap_or(25);
     let strategy = match flag_value(args, "--strategy") {
         None => PlanStrategy::CastPlusPlus,
         Some(name) => match parse_strategy(name) {

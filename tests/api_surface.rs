@@ -24,12 +24,10 @@ const EXPECTED: &[&str] = &[
     "Cast",
     "CastBuilder",
     "CastError",
-    "CastErrorKind",
     "Catalog",
     "Collector",
     "DataSize",
     "DegradationWindow",
-    "DeployError",
     "DeployOutcome",
     "DeploymentReport",
     "DriftConfig",
@@ -48,12 +46,10 @@ const EXPECTED: &[&str] = &[
     "PlanStrategy",
     "Planned",
     "ReplanPolicy",
-    "ResilienceReport",
     "RunState",
     "RuntimeConfig",
     "Sim",
     "SimBuilder",
-    "TenantGoal",
     "Tier",
     "TieringPlan",
     "TraceSink",

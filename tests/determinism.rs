@@ -76,21 +76,23 @@ fn online_serving_is_bit_deterministic() {
         let framework = Cast::builder()
             .nvm(2)
             .profiler(common::quick_profiler())
-            .anneal(AnnealConfig {
+            .build()
+            .expect("framework build");
+        let report = OnlineRuntime::new(
+            framework.estimator(),
+            AnnealConfig {
                 iterations: 300,
                 restarts,
                 seed: 11,
-            })
-            .build()
-            .expect("framework build");
-        let report = framework
-            .online(RuntimeConfig {
+            },
+            RuntimeConfig {
                 epoch: Duration::from_mins(15.0),
                 policy: ReplanPolicy::Periodic,
                 ..RuntimeConfig::default()
-            })
-            .run(&stream)
-            .expect("online run");
+            },
+        )
+        .run(&stream)
+        .expect("online run");
         serde_json::to_string(&report).expect("report serializes")
     };
     assert_eq!(serve(1), serve(1), "single-restart replay must be exact");

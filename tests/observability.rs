@@ -156,10 +156,10 @@ fn unified_error_spans_the_pipeline() {
     let fw = shared_framework();
     let spec = mixed_spec();
     // An empty plan fails deployment with a plan-layer error, surfaced
-    // through the unified type.
+    // through the unified type as the solver variant.
     let err = fw.deploy(&spec, &TieringPlan::new()).unwrap_err();
-    assert_eq!(err.kind(), CastErrorKind::Deploy);
-    assert!(err.to_string().contains("deployment error"));
+    assert!(matches!(err, CastError::Solver(_)), "{err:?}");
+    assert!(err.to_string().contains("solver error"));
     assert!(std::error::Error::source(&err).is_some());
 }
 
