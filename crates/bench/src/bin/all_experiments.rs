@@ -406,9 +406,13 @@ fn run_sim_scale_section() -> Section {
          concurrent independent runs on the worker pool: on one core it\n\
          matches single-run throughput, on an 8-core machine it is the\n\
          10 M events/s headline path. `--smoke` runs the 25-VM and 4 000-job\n\
-         scenarios plus a small parallel batch; CI gates events/s against\n\
-         the committed baseline with 25 % tolerance, and each scenario's\n\
-         step and scratch-realloc counters exactly.\n",
+         scenarios plus a small parallel batch. `sim_scale` reports each\n\
+         scenario's median timed rep (at least 3 reps and 0.5 s of timed\n\
+         wall after a warm-up); the committed figures are best-of-3 reps,\n\
+         which the median reads at 0.96x in alternating runs on one host.\n\
+         CI gates events/s against the committed baseline with 25 %\n\
+         tolerance, and each scenario's step and scratch-realloc counters\n\
+         exactly.\n",
     )
 }
 

@@ -22,6 +22,11 @@
 //!   and materializes its remaining units only when its rate changes, it
 //!   completes, it fails, or speculation samples it. Between rate changes
 //!   no per-event bookkeeping touches it.
+//! * **Slot pools** — each slot kind keeps one pool of free slots per
+//!   VM, with a lazy max-heap that answers the most-free-VM question in
+//!   O(log n); a saturated pool's heap is empty, so its "no slot" answer
+//!   is O(1). Dispatch, retries and speculative backups all take their
+//!   slots through it.
 //!
 //! ## Data-oriented hot state
 //!
@@ -32,11 +37,14 @@
 //! chasing per-task pointers. Task templates are interned in a
 //! reference-counted arena (`soa::TemplateArena`) — dispatch
 //! moves them out of the job queue once; retries and speculative backups
-//! share by id instead of cloning boxes. Stage buffers, retry slots and
-//! every per-run scratch vector live in an [`EngineScratch`] that can be
+//! share by id instead of cloning boxes. Stage buffers, retry slots, the
+//! slot pools, every per-run scratch vector and the run loop's scalars
+//! (clock, cursors, counters) live in an [`EngineScratch`] that can be
 //! reused across runs ([`Engine::with_scratch`]), so repeated simulation
 //! of the same catalog allocates nothing in steady state
-//! ([`EngineStats::scratch_reallocs`] proves it).
+//! ([`EngineStats::scratch_reallocs`] proves it). The scratch plus the
+//! job runs is the whole simulation state, which is what
+//! [`Engine::snapshot`] copies.
 //!
 //! The pre-overhaul stepper that recomputed every rate and advanced every
 //! task on every event survives as [`crate::reference::ReferenceEngine`]
@@ -45,7 +53,9 @@
 //! workloads, placements and fault plans (`tests/engine_equivalence.rs`).
 //! Decision points — dispatch order, VM picks, fault arming, speculation
 //! policy — are kept in lockstep between the two implementations; edit
-//! them together.
+//! them together. The two share the fault draw, report assembly and the
+//! stall and budget errors; each keeps its own time advancement, VM pick
+//! and slot counts, so the oracle checks those independently.
 //!
 //! ## Fault injection and recovery
 //!
@@ -283,11 +293,9 @@ pub(crate) fn build_fault_events(plan: &FaultPlan, events: &mut Vec<FaultEvent>)
 pub struct EngineStats {
     /// Engine steps (discrete events) processed.
     pub steps: u64,
-    /// Stale heap entries discarded. Structurally zero since the
-    /// completion heap became indexed (entries are re-keyed or removed in
-    /// place, never invalidated); kept so benchmark JSON stays comparable
-    /// across engine generations and as a regression tripwire should lazy
-    /// invalidation ever return.
+    /// Always 0. It counted stale completion-heap entries, and the
+    /// indexed heap has none: entries are re-keyed or removed in place.
+    /// The field stays because benchmark reports still carry it.
     pub heap_stale_popped: u64,
     /// Wake sentinel entries pushed (fault edges at start-of-run, retry
     /// backoffs as they are scheduled).
@@ -308,7 +316,8 @@ pub enum RunState {
     /// The horizon was reached with work still in flight; the engine is
     /// live and can be advanced further, snapshotted, or forked.
     Running,
-    /// Every job reached `Done`; call [`Engine::finish`] for the report.
+    /// Every job reached `Done`; call [`Engine::run`] or
+    /// [`Engine::run_with_stats`] for the report.
     Done,
 }
 
@@ -453,6 +462,127 @@ impl Ord for Wake {
     }
 }
 
+/// One slot kind's free slots per VM. `heap` is a lazy max-heap of
+/// `(free slots, vm)`, the O(log n) answer to the most-free-VM scan
+/// [`pick_vm`] does on every launch: every live VM with free slots has a
+/// current entry, and an entry whose count went out of date or whose VM
+/// crashed is discarded when it surfaces, so a pool with no free slot
+/// answers from an empty heap. Tuple order ties on the higher VM index,
+/// matching `max_by_key`'s last-max-wins.
+#[derive(Clone, Default)]
+struct SlotPool {
+    free: Vec<usize>,
+    heap: BinaryHeap<(u32, u32)>,
+}
+
+impl SlotPool {
+    /// Give each of `nvm` live VMs `slots` free slots.
+    fn reset(&mut self, nvm: usize, slots: usize, grown: &mut u64) {
+        fit(&mut self.free, nvm, slots, grown);
+        if self.heap.capacity() < nvm {
+            *grown += 1;
+        }
+        self.heap.clear();
+        if slots > 0 {
+            self.heap
+                .extend((0..nvm).map(|vm| (slots as u32, vm as u32)));
+        }
+    }
+
+    /// Record live VM `vm`'s new count; the entry it supersedes is
+    /// discarded when it surfaces.
+    #[inline]
+    fn bump(&mut self, vm: usize) {
+        let c = self.free[vm] as u32;
+        if c > 0 {
+            self.heap.push((c, vm as u32));
+        }
+    }
+
+    /// [`pick_vm`] over this pool, leaving out `except` (a straggler's
+    /// own host when placing its backup). Current entries for `except`
+    /// are popped past; they all carry one `(count, vm)` value, so
+    /// pushing one back keeps the VM represented.
+    #[inline]
+    fn pick(&mut self, crashed: &[bool], except: Option<usize>) -> Option<usize> {
+        let mut stash = None;
+        let found = loop {
+            let Some(&(c, vm)) = self.heap.peek() else {
+                break None;
+            };
+            let vm = vm as usize;
+            if crashed[vm] || self.free[vm] as u32 != c {
+                self.heap.pop();
+            } else if Some(vm) == except {
+                stash = self.heap.pop();
+            } else {
+                break Some(vm);
+            }
+        };
+        if let Some(e) = stash {
+            self.heap.push(e);
+        }
+        found
+    }
+
+    /// Occupy one free slot on live VM `vm`.
+    #[inline]
+    fn take(&mut self, vm: usize) {
+        self.free[vm] -= 1;
+        self.bump(vm);
+    }
+
+    /// Free one slot on `vm`; on a crashed VM it stays out of reach.
+    fn release(&mut self, vm: usize, crashed: &[bool]) {
+        self.free[vm] += 1;
+        if !crashed[vm] {
+            self.bump(vm);
+        }
+    }
+
+    /// VM `vm` crashed: its count resets to the `slots` it brings back
+    /// on recovery.
+    fn crash(&mut self, vm: usize, slots: usize) {
+        self.free[vm] = slots;
+    }
+
+    /// VM `vm` recovered: its free slots rejoin the heap.
+    fn recover(&mut self, vm: usize) {
+        self.bump(vm);
+    }
+}
+
+/// The run loop's scalars: how far the run has got and what it has
+/// counted. [`EngineScratch::prepare`] resets them, and a snapshot copies
+/// them with the rest of the scratch.
+#[derive(Clone, Default)]
+struct LoopState {
+    clock: f64,
+    /// Set when a job reaches `Done` (re-runs dependency activation).
+    jobs_changed: bool,
+    dispatch_cursor: usize,
+    /// Length of the prefix of the jobs that is entirely `Done`. Jobs
+    /// only move monotonically into `Done`, so this never retreats; it
+    /// turns sequential-mode activation's "any earlier job unfinished?"
+    /// scan into an O(1) comparison (the scan is O(done-prefix) per
+    /// waiting job, which goes quadratic-in-jobs on long sequential
+    /// backlogs).
+    done_prefix: usize,
+    fault_enabled: bool,
+    next_fault_event: usize,
+    vm_crashes: u32,
+    /// Whether start-of-run work (fault-plan validation, fault-edge
+    /// wake-ups) has happened; [`Engine::run_until`] makes runs
+    /// resumable, so it must happen exactly once.
+    started: bool,
+    /// Events processed so far, counted against the budget across
+    /// [`Engine::run_until`] segments.
+    events: u64,
+    steps_done: u64,
+    wake_entries_allocated: u64,
+    dirty_drain_batches: u64,
+}
+
 /// Everything the engine allocates that can outlive a run: the resource
 /// registry, the SoA task table, the template arena, pooled stage
 /// buffers, the completion heap and every scratch vector. Owned by the
@@ -460,7 +590,8 @@ impl Ord for Wake {
 /// to amortize allocation across repeated runs (annealer scoring loops,
 /// benchmark reps). Preparation is in-place: buffers are cleared, not
 /// dropped, and [`EngineStats::scratch_reallocs`] counts the ones that
-/// had to grow.
+/// had to grow. It also holds the run loop's scalars, so it is the whole
+/// state a snapshot copies besides the job runs.
 #[derive(Clone)]
 pub struct EngineScratch {
     reg: ShareRegistry,
@@ -491,27 +622,15 @@ pub struct EngineScratch {
     spec_rates: Vec<f64>,
     stragglers: Vec<usize>,
     wave_scratch: Vec<f64>,
-    free_map: Vec<usize>,
-    free_red: Vec<usize>,
-    /// Total free map/reduce slots on non-crashed VMs — the O(1)
-    /// saturation check that lets dispatch skip slot-pool lookups when
-    /// no slot can possibly be granted.
-    avail_map: usize,
-    avail_red: usize,
-    /// Lazy max-heaps of `(free slots, vm)` — O(log n) replacements for
-    /// the O(n) most-free-VM scan [`pick_vm`] does on every launch. An
-    /// entry is stale once the VM's count changed or the VM crashed;
-    /// stale tops are discarded on pop, exactly like the completion
-    /// heap. Tuple order ties on the higher VM index, matching
-    /// `max_by_key`'s last-max-wins.
-    slot_heap_map: BinaryHeap<(u32, u32)>,
-    slot_heap_red: BinaryHeap<(u32, u32)>,
+    map: SlotPool,
+    red: SlotPool,
     crashed: Vec<bool>,
     /// Per-job counter handing out stable task uids.
     seq: Vec<u32>,
     retries: Vec<RetrySlot>,
     fault_events: Vec<FaultEvent>,
     reallocs: u64,
+    run: LoopState,
 }
 
 fn fit<T: Copy>(v: &mut Vec<T>, n: usize, x: T, grown: &mut u64) {
@@ -543,17 +662,14 @@ impl EngineScratch {
             spec_rates: Vec::new(),
             stragglers: Vec::new(),
             wave_scratch: Vec::new(),
-            free_map: Vec::new(),
-            free_red: Vec::new(),
-            avail_map: 0,
-            avail_red: 0,
-            slot_heap_map: BinaryHeap::new(),
-            slot_heap_red: BinaryHeap::new(),
+            map: SlotPool::default(),
+            red: SlotPool::default(),
             crashed: Vec::new(),
             seq: Vec::new(),
             retries: Vec::new(),
             fault_events: Vec::new(),
             reallocs: 0,
+            run: LoopState::default(),
         }
     }
 
@@ -576,22 +692,8 @@ impl EngineScratch {
         self.spec_rates.clear();
         self.stragglers.clear();
         self.wave_scratch.clear();
-        fit(&mut self.free_map, cfg.nvm, cfg.vm.map_slots, &mut grown);
-        fit(&mut self.free_red, cfg.nvm, cfg.vm.reduce_slots, &mut grown);
-        self.avail_map = cfg.nvm * cfg.vm.map_slots;
-        self.avail_red = cfg.nvm * cfg.vm.reduce_slots;
-        for (heap, slots) in [
-            (&mut self.slot_heap_map, cfg.vm.map_slots),
-            (&mut self.slot_heap_red, cfg.vm.reduce_slots),
-        ] {
-            if heap.capacity() < cfg.nvm {
-                grown += 1;
-            }
-            heap.clear();
-            if slots > 0 {
-                heap.extend((0..cfg.nvm).map(|vm| (slots as u32, vm as u32)));
-            }
-        }
+        self.map.reset(cfg.nvm, cfg.vm.map_slots, &mut grown);
+        self.red.reset(cfg.nvm, cfg.vm.reduce_slots, &mut grown);
         fit(&mut self.crashed, cfg.nvm, false, &mut grown);
         fit(&mut self.seq, njobs, 0, &mut grown);
         self.retries.clear();
@@ -600,6 +702,42 @@ impl EngineScratch {
             build_fault_events(&cfg.faults, &mut self.fault_events);
         }
         self.reallocs = grown;
+        self.run = LoopState {
+            jobs_changed: true,
+            fault_enabled: !cfg.faults.is_empty(),
+            ..LoopState::default()
+        };
+    }
+
+    /// Take a slot for a new `slot` task, leaving out VM `except`, and
+    /// return the VM it runs on; `None` when no slot is free. Map and
+    /// reduce tasks go to the live VM with the most free slots of their
+    /// kind. Transfers hold no slot: they round-robin over VMs, rotating
+    /// past crashed ones.
+    fn take_slot(&mut self, slot: SlotKind, except: Option<usize>) -> Option<usize> {
+        let pool = match slot {
+            SlotKind::Map => &mut self.map,
+            SlotKind::Reduce => &mut self.red,
+            SlotKind::Transfer => {
+                let n = self.crashed.len();
+                let start = self.table.len() % n;
+                return (0..n)
+                    .map(|off| (start + off) % n)
+                    .find(|&vm| !self.crashed[vm]);
+            }
+        };
+        let vm = pool.pick(&self.crashed, except)?;
+        pool.take(vm);
+        Some(vm)
+    }
+
+    /// Give back the slot a finished, failed or killed task held.
+    fn release_slot(&mut self, slot: SlotKind, vm: usize) {
+        match slot {
+            SlotKind::Map => self.map.release(vm, &self.crashed),
+            SlotKind::Reduce => self.red.release(vm, &self.crashed),
+            SlotKind::Transfer => {}
+        }
     }
 }
 
@@ -659,30 +797,18 @@ struct Removed {
 /// so one snapshot can be shared across a worker pool and forked once
 /// per candidate plan ([`crate::par::run_indexed`]).
 ///
-/// Captured: the clock, the SoA task table and template arena, the
+/// Captured: the job runs (placements, phases, per-job RNG streams) and
+/// the whole [`EngineScratch`] — SoA task table and template arena,
 /// completion and wake heaps, the `ShareRegistry` (flows, loads,
-/// degradation scales), VM slot pools and slot heaps, per-job RNG
-/// streams and uid counters, retry backlog, fault cursors, and every
-/// determinism-relevant scalar (dispatch cursor, done-prefix watermark,
-/// event/budget counters). Not captured: the observability collector —
-/// forks record into a no-op one.
+/// degradation scales), slot pools, uid counters, retry backlog, fault
+/// cursors, and the run loop's scalars (clock, dispatch cursor,
+/// done-prefix watermark, event/budget and health counters). Not
+/// captured: the observability collector — forks record into a no-op
+/// one.
 pub struct EngineSnapshot {
     cfg: SimConfig,
     jobs: Vec<JobRun>,
     state: Box<EngineScratch>,
-    jobs_changed: bool,
-    clock: f64,
-    dispatch_cursor: usize,
-    done_prefix: usize,
-    fault_enabled: bool,
-    next_fault_event: usize,
-    vm_crashes: u32,
-    started: bool,
-    events: u64,
-    steps_done: u64,
-    heap_stale_popped: u64,
-    wake_entries_allocated: u64,
-    dirty_drain_batches: u64,
 }
 
 impl EngineSnapshot {
@@ -695,22 +821,9 @@ impl EngineSnapshot {
     pub fn fork(&self) -> Engine<'_> {
         Engine {
             cfg: &self.cfg,
-            st: ScratchRef::Owned(Box::new((*self.state).clone())),
+            st: ScratchRef::Owned(self.state.clone()),
             jobs: self.jobs.clone(),
-            jobs_changed: self.jobs_changed,
-            clock: self.clock,
-            dispatch_cursor: self.dispatch_cursor,
-            done_prefix: self.done_prefix,
-            fault_enabled: self.fault_enabled,
-            next_fault_event: self.next_fault_event,
-            vm_crashes: self.vm_crashes,
             obs: SimObs::new(Collector::noop()),
-            started: self.started,
-            events: self.events,
-            steps_done: self.steps_done,
-            heap_stale_popped: self.heap_stale_popped,
-            wake_entries_allocated: self.wake_entries_allocated,
-            dirty_drain_batches: self.dirty_drain_batches,
         }
     }
 }
@@ -721,31 +834,7 @@ pub struct Engine<'a> {
     cfg: &'a SimConfig,
     st: ScratchRef<'a>,
     jobs: Vec<JobRun>,
-    /// Set when a job reaches `Done` (re-runs dependency activation).
-    jobs_changed: bool,
-    clock: f64,
-    dispatch_cursor: usize,
-    /// Length of the prefix of `jobs` that is entirely `Done`. Jobs only
-    /// move monotonically into `Done`, so this never retreats; it turns
-    /// sequential-mode activation's "any earlier job unfinished?" scan
-    /// into an O(1) comparison (the scan is O(done-prefix) per waiting
-    /// job, which goes quadratic-in-jobs on long sequential backlogs).
-    done_prefix: usize,
-    fault_enabled: bool,
-    next_fault_event: usize,
-    vm_crashes: u32,
     obs: SimObs,
-    /// Whether start-of-run work (fault-plan validation, fault-edge
-    /// wake-ups) has happened; [`Engine::run_until`] makes runs
-    /// resumable, so it must happen exactly once.
-    started: bool,
-    /// Events processed so far, counted against the budget across
-    /// [`Engine::run_until`] segments.
-    events: u64,
-    steps_done: u64,
-    heap_stale_popped: u64,
-    wake_entries_allocated: u64,
-    dirty_drain_batches: u64,
 }
 
 impl<'a> Engine<'a> {
@@ -759,9 +848,7 @@ impl<'a> Engine<'a> {
     /// collector only records what the engine already computes; results
     /// are bit-identical to an unobserved run.
     pub fn observed(cfg: &'a SimConfig, jobs: Vec<JobRun>, collector: Collector) -> Engine<'a> {
-        let mut st = Box::new(EngineScratch::new());
-        st.prepare(cfg, jobs.len());
-        Engine::build(cfg, jobs, collector, ScratchRef::Owned(st))
+        Engine::build(cfg, jobs, collector, ScratchRef::Owned(Box::default()))
     }
 
     /// [`Engine::new`] reusing caller-owned scratch state. Results are
@@ -783,7 +870,6 @@ impl<'a> Engine<'a> {
         collector: Collector,
         scratch: &'a mut EngineScratch,
     ) -> Engine<'a> {
-        scratch.prepare(cfg, jobs.len());
         Engine::build(cfg, jobs, collector, ScratchRef::Borrowed(scratch))
     }
 
@@ -791,26 +877,14 @@ impl<'a> Engine<'a> {
         cfg: &'a SimConfig,
         jobs: Vec<JobRun>,
         collector: Collector,
-        st: ScratchRef<'a>,
+        mut st: ScratchRef<'a>,
     ) -> Engine<'a> {
+        st.prepare(cfg, jobs.len());
         Engine {
+            cfg,
             st,
             jobs,
-            jobs_changed: true,
-            clock: 0.0,
-            dispatch_cursor: 0,
-            done_prefix: 0,
-            fault_enabled: !cfg.faults.is_empty(),
-            next_fault_event: 0,
-            vm_crashes: 0,
             obs: SimObs::new(collector),
-            started: false,
-            events: 0,
-            steps_done: 0,
-            heap_stale_popped: 0,
-            wake_entries_allocated: 0,
-            dirty_drain_batches: 0,
-            cfg,
         }
     }
 
@@ -819,17 +893,29 @@ impl<'a> Engine<'a> {
         self.run_with_stats().map(|(report, _)| report)
     }
 
-    /// [`Engine::run`], also returning execution statistics (step count,
-    /// for events/sec benchmarking, plus heap/allocation health
-    /// counters).
-    pub fn run_with_stats(self) -> Result<(SimReport, EngineStats), SimError> {
-        self.finish()
+    /// Run whatever remains to completion and produce the report plus
+    /// execution statistics (step count, for events/sec benchmarking,
+    /// plus allocation health counters). Counters cover the whole run,
+    /// including any prior [`Engine::run_until`] segments (and, on a
+    /// fork, the parent's pre-snapshot work).
+    pub fn run_with_stats(mut self) -> Result<(SimReport, EngineStats), SimError> {
+        self.ensure_started()?;
+        while !self.step_once()? {}
+        let run = &self.st.run;
+        let stats = EngineStats {
+            steps: run.events,
+            heap_stale_popped: 0,
+            wake_entries_allocated: run.wake_entries_allocated,
+            dirty_drain_batches: run.dirty_drain_batches,
+            scratch_reallocs: self.st.reallocs,
+        };
+        Ok((build_report(&self.jobs, run.clock, run.vm_crashes), stats))
     }
 
     /// Start-of-run work, exactly once per engine (or fork) regardless of
     /// how the run is segmented into [`Engine::run_until`] calls.
     fn ensure_started(&mut self) -> Result<(), SimError> {
-        if self.started {
+        if self.st.run.started {
             return Ok(());
         }
         if let Err(reason) = self.cfg.faults.validate(self.cfg.nvm) {
@@ -840,17 +926,7 @@ impl<'a> Engine<'a> {
             let at = self.st.fault_events[k].at;
             self.push_wake(at);
         }
-        self.started = true;
-        Ok(())
-    }
-
-    /// Count one event against the budget.
-    #[inline]
-    fn bump_events(&mut self) -> Result<(), SimError> {
-        self.events += 1;
-        if self.events > EVENT_BUDGET {
-            return Err(self.budget_error(self.events));
-        }
+        self.st.run.started = true;
         Ok(())
     }
 
@@ -863,8 +939,8 @@ impl<'a> Engine<'a> {
     /// round boundary is bit-identical to an uninterrupted one.
     fn step_once(&mut self) -> Result<bool, SimError> {
         self.process_fault_events();
-        if self.jobs_changed {
-            self.jobs_changed = false;
+        if self.st.run.jobs_changed {
+            self.st.run.jobs_changed = false;
             self.activate_ready_jobs();
         }
         self.dispatch_retries();
@@ -876,15 +952,19 @@ impl<'a> Engine<'a> {
             }
             // No runnable work, but a retry backoff or a scheduled
             // fault event (e.g. a VM recovery) may unblock us.
-            if let Some(wake) = self.next_wake() {
-                self.clock = wake;
-                self.bump_events()?;
-                return Ok(false);
-            }
-            return Err(self.stalled_error());
+            let Some(wake) = self.next_wake() else {
+                return Err(stalled_error(&self.jobs, self.st.run.clock));
+            };
+            self.st.run.clock = wake;
+        } else {
+            self.step()?;
         }
-        self.step()?;
-        self.bump_events()?;
+        let run = &mut self.st.run;
+        run.events += 1;
+        if run.events > EVENT_BUDGET {
+            let (clock, steps) = (run.clock, run.events);
+            return Err(budget_error(&self.jobs, clock, steps, self.st.table.len()));
+        }
         Ok(false)
     }
 
@@ -897,7 +977,7 @@ impl<'a> Engine<'a> {
     /// uninterrupted one.
     pub fn run_until(&mut self, horizon: f64) -> Result<RunState, SimError> {
         self.ensure_started()?;
-        while self.clock < horizon {
+        while self.st.run.clock < horizon {
             if self.step_once()? {
                 return Ok(RunState::Done);
             }
@@ -905,80 +985,19 @@ impl<'a> Engine<'a> {
         Ok(RunState::Running)
     }
 
-    /// Run whatever remains to completion and produce the report plus
-    /// execution statistics. Counters cover the whole run, including any
-    /// prior [`Engine::run_until`] segments (and, on a fork, the parent's
-    /// pre-snapshot work).
-    pub fn finish(mut self) -> Result<(SimReport, EngineStats), SimError> {
-        self.ensure_started()?;
-        while !self.step_once()? {}
-        let mut metrics: Vec<JobMetrics> = self
-            .jobs
-            .iter()
-            .map(|j| JobMetrics {
-                job: j.job.id,
-                submitted: Duration::from_secs(nan_zero(j.submitted)),
-                started: Duration::from_secs(nan_zero(j.started)),
-                finished: Duration::from_secs(nan_zero(j.finished)),
-                stage_in: Duration::from_secs(j.phase_secs[0]),
-                map: Duration::from_secs(j.phase_secs[1]),
-                reduce: Duration::from_secs(j.phase_secs[3]),
-                stage_out: Duration::from_secs(j.phase_secs[4]),
-                failures: j.failures,
-                retries: j.retries,
-                speculations: j.speculations,
-                kills: j.kills,
-            })
-            .collect();
-        metrics.sort_by(|a, b| a.finished.secs().total_cmp(&b.finished.secs()));
-        let faults = FaultSummary {
-            task_failures: self.jobs.iter().map(|j| j.failures).sum(),
-            retries: self.jobs.iter().map(|j| j.retries).sum(),
-            speculations: self.jobs.iter().map(|j| j.speculations).sum(),
-            kills: self.jobs.iter().map(|j| j.kills).sum(),
-            vm_crashes: self.vm_crashes,
-        };
-        let report = SimReport {
-            jobs: metrics,
-            makespan: Duration::from_secs(self.clock),
-            faults,
-        };
-        let stats = EngineStats {
-            steps: self.events,
-            heap_stale_popped: self.heap_stale_popped,
-            wake_entries_allocated: self.wake_entries_allocated,
-            dirty_drain_batches: self.dirty_drain_batches,
-            scratch_reallocs: self.st.reallocs,
-        };
-        Ok((report, stats))
-    }
-
     // ---- snapshot / fork ----
 
-    /// Capture the complete simulation state — clock, task table, heaps,
-    /// share registry, slot pools, per-job RNG streams, fault cursors —
-    /// as an owned, engine-lifetime-independent [`EngineSnapshot`]. Cost
-    /// is O(live state). The engine keeps running; snapshot at a replan
-    /// point, fork one candidate per plan, and keep the live run as the
+    /// Capture the complete simulation state — the job runs and the
+    /// whole scratch, clock and cursors included — as an owned,
+    /// engine-lifetime-independent [`EngineSnapshot`]. Cost is O(live
+    /// state). The engine keeps running; snapshot at a replan point,
+    /// fork one candidate per plan, and keep the live run as the
     /// incumbent.
     pub fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
             cfg: self.cfg.clone(),
             jobs: self.jobs.clone(),
             state: Box::new((*self.st).clone()),
-            jobs_changed: self.jobs_changed,
-            clock: self.clock,
-            dispatch_cursor: self.dispatch_cursor,
-            done_prefix: self.done_prefix,
-            fault_enabled: self.fault_enabled,
-            next_fault_event: self.next_fault_event,
-            vm_crashes: self.vm_crashes,
-            started: self.started,
-            events: self.events,
-            steps_done: self.steps_done,
-            heap_stale_popped: self.heap_stale_popped,
-            wake_entries_allocated: self.wake_entries_allocated,
-            dirty_drain_batches: self.dirty_drain_batches,
         }
     }
 
@@ -1008,19 +1027,6 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    fn budget_error(&self, steps: u64) -> SimError {
-        SimError::EventBudgetExhausted {
-            at_secs: self.clock,
-            steps,
-            active_tasks: self.st.table.len(),
-            active_jobs: self
-                .jobs
-                .iter()
-                .filter(|j| j.phase != JobPhase::Done)
-                .count(),
-        }
-    }
-
     // ---- incremental bookkeeping ----
 
     /// Set (or re-key) task `idx`'s milestone to `time`, recording `rate`
@@ -1042,14 +1048,14 @@ impl<'a> Engine<'a> {
     }
 
     fn push_wake(&mut self, time: f64) {
-        self.wake_entries_allocated += 1;
+        self.st.run.wake_entries_allocated += 1;
         self.st.wakes.push(Wake(time));
     }
 
     /// Bring task `idx`'s progress up to the current clock using the rate
     /// it has streamed at since its anchor.
     fn materialize(&mut self, idx: usize) {
-        let clock = self.clock;
+        let clock = self.st.run.clock;
         let t = &mut self.st.table;
         let dtime = clock - t.anchor[idx];
         t.anchor[idx] = clock;
@@ -1183,13 +1189,14 @@ impl<'a> Engine<'a> {
         uid: u64,
         attempt: u32,
         backup_of: u64,
-        speculated: bool,
         tid: u32,
         buf: Vec<BoundStage>,
         doom: f64,
     ) {
-        let clock = self.clock;
+        let clock = self.st.run.clock;
         let st = &mut *self.st;
+        // A spawned task is speculated exactly when it is a backup.
+        let speculated = backup_of != NO_TWIN;
         let idx = st.table.push(
             job, vm, slot, uid, attempt, backup_of, speculated, doom, tid, buf, clock,
         );
@@ -1226,7 +1233,7 @@ impl<'a> Engine<'a> {
         if !self.st.reg.has_dirty() {
             return Ok(());
         }
-        self.dirty_drain_batches += 1;
+        self.st.run.dirty_drain_batches += 1;
         {
             let EngineScratch {
                 reg,
@@ -1291,11 +1298,11 @@ impl<'a> Engine<'a> {
         };
         debug_assert!(has_stage);
         if fixed > 0.0 {
-            self.schedule(i, self.clock + fixed, 0.0);
+            self.schedule(i, self.st.run.clock + fixed, 0.0);
             return Ok(());
         }
         if units <= EPS {
-            self.schedule(i, self.clock, 0.0);
+            self.schedule(i, self.st.run.clock, 0.0);
             return Ok(());
         }
         if rate <= 0.0 || rate.is_nan() {
@@ -1307,7 +1314,7 @@ impl<'a> Engine<'a> {
                 let t = &self.st.table;
                 let job = t.job[i] as usize;
                 return Err(SimError::Stalled {
-                    at_secs: self.clock,
+                    at_secs: self.st.run.clock,
                     job: Some(self.jobs[job].job.id.0),
                     phase: Some(self.jobs[job].phase.name()),
                     tier: t.bound_stage(i).and_then(stage_tier),
@@ -1319,7 +1326,7 @@ impl<'a> Engine<'a> {
         let mut dt = units / rate;
         // NO_DOOM (+∞) makes the clamp a no-op without a branch.
         dt = dt.min(doom.max(0.0) / rate);
-        self.schedule(i, self.clock + dt, rate);
+        self.schedule(i, self.st.run.clock + dt, rate);
         Ok(())
     }
 
@@ -1355,16 +1362,18 @@ impl<'a> Engine<'a> {
                 // straight to `Done` earlier in this same pass), then the
                 // original "any earlier job unfinished?" scan collapses
                 // to one comparison.
-                while self.done_prefix < i && self.jobs[self.done_prefix].phase == JobPhase::Done {
-                    self.done_prefix += 1;
+                while self.st.run.done_prefix < i
+                    && self.jobs[self.st.run.done_prefix].phase == JobPhase::Done
+                {
+                    self.st.run.done_prefix += 1;
                 }
-                if self.done_prefix < i {
+                if self.st.run.done_prefix < i {
                     continue;
                 }
             }
             let job = &mut self.jobs[i];
-            job.submitted = self.clock;
-            let phase = job.advance_phase(self.clock, self.cfg);
+            job.submitted = self.st.run.clock;
+            let phase = job.advance_phase(self.st.run.clock, self.cfg);
             if phase != JobPhase::Done && !self.jobs[i].pending.is_empty() {
                 self.st.front_slot[i] = self.jobs[i].pending.front().expect("nonempty").slot;
                 pending_insert(&mut self.st.pending_jobs, i);
@@ -1372,7 +1381,7 @@ impl<'a> Engine<'a> {
             if self.obs.col.enabled() {
                 let name = self.jobs[i].job.app.name().to_string();
                 self.obs.col.emit(
-                    self.clock,
+                    self.st.run.clock,
                     EventBody::JobStart {
                         job: i as u32,
                         name,
@@ -1392,7 +1401,7 @@ impl<'a> Engine<'a> {
         if phase == JobPhase::Done {
             let makespan = self.jobs[i].finished - self.jobs[i].submitted;
             self.obs.col.emit(
-                self.clock,
+                self.st.run.clock,
                 EventBody::JobEnd {
                     job: i as u32,
                     makespan,
@@ -1400,7 +1409,7 @@ impl<'a> Engine<'a> {
             );
         } else {
             self.obs.col.emit(
-                self.clock,
+                self.st.run.clock,
                 EventBody::Phase {
                     job: i as u32,
                     phase: phase.name().to_string(),
@@ -1424,10 +1433,10 @@ impl<'a> Engine<'a> {
             {
                 continue;
             }
-            let phase = job.advance_phase(self.clock, self.cfg);
+            let phase = job.advance_phase(self.st.run.clock, self.cfg);
             self.emit_phase(i, phase);
             if phase == JobPhase::Done {
-                self.jobs_changed = true;
+                self.st.run.jobs_changed = true;
                 pending_remove(&mut self.st.pending_jobs, i);
             } else if !self.jobs[i].pending.is_empty() {
                 self.st.front_slot[i] = self.jobs[i].pending.front().expect("nonempty").slot;
@@ -1444,15 +1453,16 @@ impl<'a> Engine<'a> {
     /// stepper scans with.
     fn dispatch(&mut self) {
         let n = self.jobs.len();
+        let run = &mut self.st.run;
+        let (clock, cursor) = (run.clock, run.dispatch_cursor);
+        run.dispatch_cursor = (cursor + 1) % n.max(1);
         if self.st.pending_jobs.is_empty() {
-            self.dispatch_cursor = (self.dispatch_cursor + 1) % n.max(1);
             return;
         }
         {
             let st = &mut *self.st;
             st.dispatch_scratch.clear();
-            let cursor = self.dispatch_cursor as u32;
-            let start = st.pending_jobs.partition_point(|&j| j < cursor);
+            let start = st.pending_jobs.partition_point(|&j| j < cursor as u32);
             st.dispatch_scratch
                 .extend_from_slice(&st.pending_jobs[start..]);
             st.dispatch_scratch
@@ -1461,66 +1471,35 @@ impl<'a> Engine<'a> {
         for k in 0..self.st.dispatch_scratch.len() {
             let i = self.st.dispatch_scratch[k] as usize;
             // Cheap pre-check on the mirror: a job whose next template
-            // needs a slot kind with nothing available would launch
-            // nothing — identical outcome to visiting it.
-            match self.st.front_slot[i] {
-                SlotKind::Map if self.st.avail_map == 0 => {
-                    continue;
-                }
-                SlotKind::Reduce if self.st.avail_red == 0 => {
-                    continue;
-                }
-                _ => {}
+            // needs a slot kind with nothing free would launch nothing —
+            // identical outcome to visiting it.
+            let st = &mut *self.st;
+            let full = match st.front_slot[i] {
+                SlotKind::Map => st.map.pick(&st.crashed, None).is_none(),
+                SlotKind::Reduce => st.red.pick(&st.crashed, None).is_none(),
+                SlotKind::Transfer => false,
+            };
+            if full {
+                continue;
             }
             let mut launched: u32 = 0;
             while let Some(tmpl) = self.jobs[i].pending.front() {
                 if matches!(self.jobs[i].phase, JobPhase::Waiting | JobPhase::Done) {
                     break;
                 }
-                // `avail_*` is exactly "a pick would succeed": both count
-                // free slots on non-crashed VMs. The O(1) check keeps a
-                // slot-saturated dispatch from touching the heaps per
-                // pending job per event.
-                let vm = match tmpl.slot {
-                    SlotKind::Map if self.st.avail_map == 0 => None,
-                    SlotKind::Reduce if self.st.avail_red == 0 => None,
-                    SlotKind::Map => {
-                        let st = &mut *self.st;
-                        pick_slot(&mut st.slot_heap_map, &st.free_map, &st.crashed)
-                    }
-                    SlotKind::Reduce => {
-                        let st = &mut *self.st;
-                        pick_slot(&mut st.slot_heap_red, &st.free_red, &st.crashed)
-                    }
-                    SlotKind::Transfer => self.pick_transfer_vm(),
+                let slot = tmpl.slot;
+                let Some(vm) = self.st.take_slot(slot, None) else {
+                    break;
                 };
-                let Some(vm) = vm else { break };
                 let tmpl = self.jobs[i].pending.pop_front().expect("peeked");
                 if let Some(next) = self.jobs[i].pending.front() {
                     self.st.front_slot[i] = next.slot;
                 }
-                {
-                    let st = &mut *self.st;
-                    match tmpl.slot {
-                        SlotKind::Map => {
-                            st.free_map[vm] -= 1;
-                            st.avail_map -= 1;
-                            bump_slot_heap(&mut st.slot_heap_map, &st.free_map, vm);
-                        }
-                        SlotKind::Reduce => {
-                            st.free_red[vm] -= 1;
-                            st.avail_red -= 1;
-                            bump_slot_heap(&mut st.slot_heap_red, &st.free_red, vm);
-                        }
-                        SlotKind::Transfer => {}
-                    }
-                }
-                let slot = tmpl.slot;
                 self.obs
-                    .task(self.clock, i, vm as u32, slot, TaskEventKind::Started);
+                    .task(clock, i, vm as u32, slot, TaskEventKind::Started);
                 let mut buf = bind_template(&mut self.st.buf_pool, vm as u32, &tmpl);
                 let (mut uid, mut tid, mut doom) = (0u64, NO_TEMPLATE, NO_DOOM);
-                if self.fault_enabled {
+                if self.st.run.fault_enabled {
                     let seq = self.st.seq[i];
                     self.st.seq[i] += 1;
                     uid = ((i as u64) << 32) | u64::from(seq);
@@ -1529,7 +1508,7 @@ impl<'a> Engine<'a> {
                     doom = arm_stages_with(plan, &mut rng, tmpl.total_units(), &mut buf);
                     tid = self.st.arena.insert(tmpl);
                 }
-                self.spawn_task(i, vm as u32, slot, uid, 1, NO_TWIN, false, tid, buf, doom);
+                self.spawn_task(i, vm as u32, slot, uid, 1, NO_TWIN, tid, buf, doom);
                 self.jobs[i].active += 1;
                 launched += 1;
             }
@@ -1537,7 +1516,7 @@ impl<'a> Engine<'a> {
                 self.obs.wave_tasks.record(f64::from(launched));
                 if self.obs.col.enabled() {
                     self.obs.col.emit(
-                        self.clock,
+                        clock,
                         EventBody::Wave {
                             job: i as u32,
                             phase: self.jobs[i].phase.name().to_string(),
@@ -1550,91 +1529,34 @@ impl<'a> Engine<'a> {
                 pending_remove(&mut self.st.pending_jobs, i);
             }
         }
-        self.dispatch_cursor = (self.dispatch_cursor + 1) % n.max(1);
-    }
-
-    /// Transfer streams round-robin over VMs; rotate past crashed ones.
-    fn pick_transfer_vm(&self) -> Option<usize> {
-        let n = self.cfg.nvm;
-        let start = self.st.table.len() % n;
-        (0..n)
-            .map(|off| (start + off) % n)
-            .find(|&vm| !self.st.crashed[vm])
     }
 
     /// Re-dispatch retry entries whose backoff has elapsed, slots
     /// permitting.
     fn dispatch_retries(&mut self) {
-        if !self.fault_enabled || self.st.retries.is_empty() {
+        if !self.st.run.fault_enabled || self.st.retries.is_empty() {
             return;
         }
+        let clock = self.st.run.clock;
         let mut i = 0;
         while i < self.st.retries.len() {
-            if self.st.retries[i].ready_at > self.clock + EPS {
+            let entry = self.st.retries[i];
+            if entry.ready_at > clock + EPS {
                 i += 1;
                 continue;
             }
-            let slot = self.st.arena.get(self.st.retries[i].tid).slot;
-            let vm = match slot {
-                SlotKind::Map if self.st.avail_map == 0 => None,
-                SlotKind::Reduce if self.st.avail_red == 0 => None,
-                SlotKind::Map => {
-                    let st = &mut *self.st;
-                    pick_slot(&mut st.slot_heap_map, &st.free_map, &st.crashed)
-                }
-                SlotKind::Reduce => {
-                    let st = &mut *self.st;
-                    pick_slot(&mut st.slot_heap_red, &st.free_red, &st.crashed)
-                }
-                SlotKind::Transfer => self.pick_transfer_vm(),
-            };
-            let Some(vm) = vm else {
+            let slot = self.st.arena.get(entry.tid).slot;
+            let Some(vm) = self.st.take_slot(slot, None) else {
                 i += 1;
                 continue;
             };
-            let entry = self.st.retries.remove(i);
-            {
-                let st = &mut *self.st;
-                match slot {
-                    SlotKind::Map => {
-                        st.free_map[vm] -= 1;
-                        st.avail_map -= 1;
-                        bump_slot_heap(&mut st.slot_heap_map, &st.free_map, vm);
-                    }
-                    SlotKind::Reduce => {
-                        st.free_red[vm] -= 1;
-                        st.avail_red -= 1;
-                        bump_slot_heap(&mut st.slot_heap_red, &st.free_red, vm);
-                    }
-                    SlotKind::Transfer => {}
-                }
-            }
+            self.st.retries.remove(i);
             let job = entry.job as usize;
             self.obs
-                .task(self.clock, job, vm as u32, slot, TaskEventKind::Retried);
-            let mut buf = {
-                let st = &mut *self.st;
-                bind_template(&mut st.buf_pool, vm as u32, st.arena.get(entry.tid))
-            };
-            let plan = &self.cfg.faults;
-            let mut rng = attempt_rng(plan.seed, entry.uid, entry.attempt);
-            let total = self.st.arena.get(entry.tid).total_units();
-            let doom = arm_stages_with(plan, &mut rng, total, &mut buf);
+                .task(clock, job, vm as u32, slot, TaskEventKind::Retried);
             self.jobs[job].retries_pending -= 1;
-            self.jobs[job].active += 1;
             // The retry slot's template reference transfers to the task.
-            self.spawn_task(
-                job,
-                vm as u32,
-                slot,
-                entry.uid,
-                entry.attempt,
-                NO_TWIN,
-                false,
-                entry.tid,
-                buf,
-                doom,
-            );
+            self.launch(job, vm, entry.uid, entry.attempt, NO_TWIN, entry.tid);
         }
     }
 
@@ -1644,7 +1566,7 @@ impl<'a> Engine<'a> {
     /// the whole active set like the reference stepper.
     fn speculate(&mut self) -> Result<(), SimError> {
         let thr = self.cfg.faults.speculation_threshold;
-        if !self.fault_enabled || thr <= 0.0 || self.st.table.is_empty() {
+        if !self.st.run.fault_enabled || thr <= 0.0 || self.st.table.is_empty() {
             return Ok(());
         }
         self.flush_dirty()?;
@@ -1689,81 +1611,55 @@ impl<'a> Engine<'a> {
         }
         for si in 0..self.st.stragglers.len() {
             let i = self.st.stragglers[si];
-            let orig_vm = self.st.table.vm[i] as usize;
-            let slot = self.st.table.slot[i];
-            let vm = {
-                let st = &mut *self.st;
-                match slot {
-                    SlotKind::Map => pick_slot_excluding(
-                        &mut st.slot_heap_map,
-                        &st.free_map,
-                        &st.crashed,
-                        orig_vm,
-                    ),
-                    SlotKind::Reduce => pick_slot_excluding(
-                        &mut st.slot_heap_red,
-                        &st.free_red,
-                        &st.crashed,
-                        orig_vm,
-                    ),
-                    SlotKind::Transfer => continue,
-                }
-            };
-            let Some(vm) = vm else { continue };
-            let tid = self.st.table.template[i];
+            let t = &self.st.table;
+            let (tid, slot, orig_vm) = (t.template[i], t.slot[i], t.vm[i] as usize);
             if tid == NO_TEMPLATE {
                 continue;
             }
-            {
-                let st = &mut *self.st;
-                match slot {
-                    SlotKind::Map => {
-                        st.free_map[vm] -= 1;
-                        st.avail_map -= 1;
-                        bump_slot_heap(&mut st.slot_heap_map, &st.free_map, vm);
-                    }
-                    SlotKind::Reduce => {
-                        st.free_red[vm] -= 1;
-                        st.avail_red -= 1;
-                        bump_slot_heap(&mut st.slot_heap_red, &st.free_red, vm);
-                    }
-                    SlotKind::Transfer => {}
-                }
-            }
-            let job = self.st.table.job[i] as usize;
-            let orig_uid = self.st.table.uid[i];
-            let attempt = self.st.table.attempt[i];
-            self.st.table.speculated[i] = true;
-            self.obs
-                .task(self.clock, job, vm as u32, slot, TaskEventKind::Speculated);
-            let mut buf = {
-                let st = &mut *self.st;
-                st.arena.retain(tid);
-                bind_template(&mut st.buf_pool, vm as u32, st.arena.get(tid))
+            // Stragglers are map or reduce tasks, so this is a slot pick.
+            let Some(vm) = self.st.take_slot(slot, Some(orig_vm)) else {
+                continue;
             };
-            let plan = &self.cfg.faults;
-            let uid = orig_uid | BACKUP_BIT;
-            let mut rng = attempt_rng(plan.seed, uid, attempt);
-            let total = self.st.arena.get(tid).total_units();
-            let doom = arm_stages_with(plan, &mut rng, total, &mut buf);
+            let t = &mut self.st.table;
+            let (job, orig_uid, attempt) = (t.job[i] as usize, t.uid[i], t.attempt[i]);
+            t.speculated[i] = true;
+            let clock = self.st.run.clock;
+            self.obs
+                .task(clock, job, vm as u32, slot, TaskEventKind::Speculated);
+            self.st.arena.retain(tid);
             self.jobs[job].speculations += 1;
-            self.jobs[job].active += 1;
-            self.spawn_task(
-                job, vm as u32, slot, uid, attempt, orig_uid, true, tid, buf, doom,
-            );
+            let uid = orig_uid | BACKUP_BIT;
+            self.launch(job, vm, uid, attempt, orig_uid, tid);
         }
         Ok(())
+    }
+
+    /// Bind arena template `tid` onto `vm`, draw the attempt's fate from
+    /// its keyed RNG and spawn it — the tail a retry and a speculative
+    /// backup share. The task takes over one reference on `tid`.
+    fn launch(&mut self, job: usize, vm: usize, uid: u64, attempt: u32, backup_of: u64, tid: u32) {
+        let st = &mut *self.st;
+        let tmpl = st.arena.get(tid);
+        let mut buf = bind_template(&mut st.buf_pool, vm as u32, tmpl);
+        let plan = &self.cfg.faults;
+        let mut rng = attempt_rng(plan.seed, uid, attempt);
+        let doom = arm_stages_with(plan, &mut rng, tmpl.total_units(), &mut buf);
+        let slot = tmpl.slot;
+        self.jobs[job].active += 1;
+        self.spawn_task(
+            job, vm as u32, slot, uid, attempt, backup_of, tid, buf, doom,
+        );
     }
 
     // ---- fault machinery ----
 
     /// Apply all fault-plan events due at the current clock.
     fn process_fault_events(&mut self) {
-        while let Some(&ev) = self.st.fault_events.get(self.next_fault_event) {
-            if ev.at > self.clock + EPS {
+        while let Some(&ev) = self.st.fault_events.get(self.st.run.next_fault_event) {
+            if ev.at > self.st.run.clock + EPS {
                 break;
             }
-            self.next_fault_event += 1;
+            self.st.run.next_fault_event += 1;
             self.obs.fault_edges.inc();
             if self.obs.col.enabled() {
                 let (kind, vm) = match ev.kind {
@@ -1772,7 +1668,7 @@ impl<'a> Engine<'a> {
                     FaultEventKind::DegradationEdge => ("degradation", u32::MAX),
                 };
                 self.obs.col.emit(
-                    self.clock,
+                    self.st.run.clock,
                     EventBody::Fault {
                         kind: kind.to_string(),
                         vm,
@@ -1782,15 +1678,10 @@ impl<'a> Engine<'a> {
             match ev.kind {
                 FaultEventKind::Crash(vm) => self.crash_vm(vm as usize),
                 FaultEventKind::Recover(vm) => {
-                    let st = &mut *self.st;
-                    let vm = vm as usize;
+                    let (st, vm) = (&mut *self.st, vm as usize);
                     st.crashed[vm] = false;
-                    st.avail_map += st.free_map[vm];
-                    st.avail_red += st.free_red[vm];
-                    // The VM's pre-crash heap entries were consumed as
-                    // stale (or mask-invalidated); restore its presence.
-                    bump_slot_heap(&mut st.slot_heap_map, &st.free_map, vm);
-                    bump_slot_heap(&mut st.slot_heap_red, &st.free_red, vm);
+                    st.map.recover(vm);
+                    st.red.recover(vm);
                 }
                 FaultEventKind::DegradationEdge => self.apply_degradations(),
             }
@@ -1803,7 +1694,7 @@ impl<'a> Engine<'a> {
     fn apply_degradations(&mut self) {
         self.st.reg.reset_scales();
         for w in &self.cfg.faults.degradations {
-            if w.start_secs <= self.clock + EPS && self.clock < w.end_secs - EPS {
+            if w.start_secs <= self.st.run.clock + EPS && self.st.run.clock < w.end_secs - EPS {
                 self.st.reg.scale_tier(w.vm, w.tier, w.multiplier);
             }
         }
@@ -1817,13 +1708,10 @@ impl<'a> Engine<'a> {
             return;
         }
         self.st.crashed[vm] = true;
-        self.vm_crashes += 1;
-        // The VM's remaining free slots leave the available pool; its
-        // pools reset to full but stay unreachable while crashed.
-        self.st.avail_map -= self.st.free_map[vm];
-        self.st.avail_red -= self.st.free_red[vm];
-        self.st.free_map[vm] = self.cfg.vm.map_slots;
-        self.st.free_red[vm] = self.cfg.vm.reduce_slots;
+        self.st.run.vm_crashes += 1;
+        let clock = self.st.run.clock;
+        self.st.map.crash(vm, self.cfg.vm.map_slots);
+        self.st.red.crash(vm, self.cfg.vm.reduce_slots);
         let mut idx = 0;
         while idx < self.st.table.len() {
             if self.st.table.vm[idx] as usize != vm {
@@ -1834,13 +1722,8 @@ impl<'a> Engine<'a> {
             let job = victim.job;
             self.jobs[job].active -= 1;
             self.jobs[job].kills += 1;
-            self.obs.task(
-                self.clock,
-                job,
-                victim.vm,
-                victim.slot,
-                TaskEventKind::Killed,
-            );
+            self.obs
+                .task(clock, job, victim.vm, victim.slot, TaskEventKind::Killed);
             self.push_affected(job);
             if victim.speculated && self.twin_index(victim.uid, victim.backup_of).is_some() {
                 // The surviving copy carries the work.
@@ -1854,7 +1737,7 @@ impl<'a> Engine<'a> {
             self.jobs[job].retries += 1;
             self.jobs[job].retries_pending += 1;
             self.st.retries.push(RetrySlot {
-                ready_at: self.clock,
+                ready_at: clock,
                 job: job as u32,
                 uid: victim.uid,
                 attempt: victim.attempt,
@@ -1873,41 +1756,17 @@ impl<'a> Engine<'a> {
     /// retry becomes ready.
     fn next_wake(&self) -> Option<f64> {
         let mut wake = f64::INFINITY;
-        if let Some(ev) = self.st.fault_events.get(self.next_fault_event) {
-            if ev.at > self.clock {
+        if let Some(ev) = self.st.fault_events.get(self.st.run.next_fault_event) {
+            if ev.at > self.st.run.clock {
                 wake = wake.min(ev.at);
             }
         }
         for r in &self.st.retries {
-            if r.ready_at > self.clock {
+            if r.ready_at > self.st.run.clock {
                 wake = wake.min(r.ready_at);
             }
         }
         wake.is_finite().then_some(wake)
-    }
-
-    /// Build a [`SimError::Stalled`] carrying whatever is known about the
-    /// first blocked job.
-    fn stalled_error(&self) -> SimError {
-        let blocked = self.jobs.iter().find(|j| j.phase != JobPhase::Done);
-        let (job, phase, tier) = match blocked {
-            Some(j) => {
-                let tier = j
-                    .pending
-                    .front()
-                    .and_then(|t| t.stages.first())
-                    .and_then(|s| s.read.map(|(t, _)| t).or(s.write.map(|(t, _)| t)))
-                    .map(|t| t.name().to_string());
-                (Some(j.job.id.0), Some(j.phase.name()), tier)
-            }
-            None => (None, None, None),
-        };
-        SimError::Stalled {
-            at_secs: self.clock,
-            job,
-            phase,
-            tier,
-        }
     }
 
     /// Stall diagnosis when the heap has no milestone left but tasks
@@ -1919,36 +1778,14 @@ impl<'a> Engine<'a> {
             if t.has_stage(i) && t.fixed[i] <= 0.0 && t.rate[i] <= 0.0 {
                 let job = t.job[i] as usize;
                 return SimError::Stalled {
-                    at_secs: self.clock,
+                    at_secs: self.st.run.clock,
                     job: Some(self.jobs[job].job.id.0),
                     phase: Some(self.jobs[job].phase.name()),
                     tier: t.bound_stage(i).and_then(stage_tier),
                 };
             }
         }
-        self.stalled_error()
-    }
-
-    fn release_slot(&mut self, vm: usize, slot: SlotKind) {
-        let st = &mut *self.st;
-        let live = !st.crashed[vm];
-        match slot {
-            SlotKind::Map => {
-                st.free_map[vm] += 1;
-                st.avail_map += usize::from(live);
-                if live {
-                    bump_slot_heap(&mut st.slot_heap_map, &st.free_map, vm);
-                }
-            }
-            SlotKind::Reduce => {
-                st.free_red[vm] += 1;
-                st.avail_red += usize::from(live);
-                if live {
-                    bump_slot_heap(&mut st.slot_heap_red, &st.free_red, vm);
-                }
-            }
-            SlotKind::Transfer => {}
-        }
+        stalled_error(&self.jobs, self.st.run.clock)
     }
 
     // ---- the event step ----
@@ -1965,15 +1802,15 @@ impl<'a> Engine<'a> {
             (None, Some(b)) => b,
             (None, None) => return Err(self.frozen_stall_error()),
         };
-        let t_next = t_next.max(self.clock);
+        let t_next = t_next.max(self.st.run.clock);
         self.obs.steps.inc();
-        self.steps_done += 1;
-        if self.obs.col.enabled() && self.steps_done % CONTENTION_STRIDE == 1 {
+        self.st.run.steps_done += 1;
+        if self.obs.col.enabled() && self.st.run.steps_done % CONTENTION_STRIDE == 1 {
             for tier in cast_cloud::tier::Tier::ALL {
                 let (demand, capacity) = self.st.reg.tier_totals(tier);
                 if demand > 0.0 {
                     self.obs.col.emit(
-                        self.clock,
+                        self.st.run.clock,
                         EventBody::Contention {
                             tier: tier.name().to_string(),
                             demand,
@@ -1983,7 +1820,7 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        self.clock = t_next;
+        self.st.run.clock = t_next;
         // Drain every entry due within the completion tolerance. Whether
         // a drained task actually finished is decided by materializing
         // it — a candidate with more than EPS units left is re-scheduled,
@@ -2046,10 +1883,15 @@ impl<'a> Engine<'a> {
             if let Some(t) = self.twin_index(uid, backup_of) {
                 let loser = self.remove_task(t);
                 self.release_tid(loser.tid);
-                self.release_slot(loser.vm as usize, loser.slot);
+                self.st.release_slot(loser.slot, loser.vm as usize);
                 let job = loser.job;
-                self.obs
-                    .task(self.clock, job, loser.vm, loser.slot, TaskEventKind::Killed);
+                self.obs.task(
+                    self.st.run.clock,
+                    job,
+                    loser.vm,
+                    loser.slot,
+                    TaskEventKind::Killed,
+                );
                 self.jobs[job].active -= 1;
                 self.jobs[job].kills += 1;
                 self.push_affected(job);
@@ -2087,10 +1929,15 @@ impl<'a> Engine<'a> {
         if !self.st.table.has_stage(idx) {
             let task = self.remove_task(idx);
             self.release_tid(task.tid);
-            self.release_slot(task.vm as usize, task.slot);
+            self.st.release_slot(task.slot, task.vm as usize);
             let job = task.job;
-            self.obs
-                .task(self.clock, job, task.vm, task.slot, TaskEventKind::Finished);
+            self.obs.task(
+                self.st.run.clock,
+                job,
+                task.vm,
+                task.slot,
+                TaskEventKind::Finished,
+            );
             self.jobs[job].active -= 1;
             if task.speculated {
                 self.st.winners.push((task.uid, task.backup_of));
@@ -2111,8 +1958,8 @@ impl<'a> Engine<'a> {
             )
         };
         if fixed > 0.0 {
-            let at = self.clock + fixed;
-            if at > self.clock {
+            let at = self.st.run.clock + fixed;
+            if at > self.st.run.clock {
                 self.schedule(idx, at, 0.0);
             } else {
                 // The latency residue is below the clock's ulp: `clock +
@@ -2135,8 +1982,8 @@ impl<'a> Engine<'a> {
             if rate > 0.0 {
                 let mut dt = units / rate;
                 dt = dt.min(doom.max(0.0) / rate);
-                let at = self.clock + dt;
-                if at > self.clock {
+                let at = self.st.run.clock + dt;
+                if at > self.st.run.clock {
                     self.schedule(idx, at, rate);
                 } else {
                     // The streaming residue is too small to advance the
@@ -2169,12 +2016,17 @@ impl<'a> Engine<'a> {
     /// budget. Returns the swap-move fix-up like [`Engine::remove_task`].
     fn fail_task(&mut self, idx: usize) -> Result<Option<usize>, SimError> {
         let task = self.remove_task(idx);
-        self.release_slot(task.vm as usize, task.slot);
+        self.st.release_slot(task.slot, task.vm as usize);
         let job = task.job;
         self.jobs[job].active -= 1;
         self.jobs[job].failures += 1;
-        self.obs
-            .task(self.clock, job, task.vm, task.slot, TaskEventKind::Failed);
+        self.obs.task(
+            self.st.run.clock,
+            job,
+            task.vm,
+            task.slot,
+            TaskEventKind::Failed,
+        );
         self.push_affected(job);
         if task.speculated && self.twin_index(task.uid, task.backup_of).is_some() {
             // The surviving copy carries the work; no retry needed.
@@ -2192,8 +2044,8 @@ impl<'a> Engine<'a> {
         debug_assert_ne!(task.tid, NO_TEMPLATE, "faulted task retains its template");
         self.jobs[job].retries += 1;
         self.jobs[job].retries_pending += 1;
-        let ready_at = self.clock + backoff;
-        if ready_at > self.clock {
+        let ready_at = self.st.run.clock + backoff;
+        if ready_at > self.st.run.clock {
             self.push_wake(ready_at);
         }
         self.st.retries.push(RetrySlot {
@@ -2237,72 +2089,14 @@ fn pending_remove(v: &mut Vec<u32>, i: usize) {
 }
 
 /// Live VM with the most free slots, or `None` if none has capacity.
-/// The event engine answers this from a lazy heap ([`pick_slot`]); this
-/// scan remains the reference implementation and the transfer fallback.
+/// The reference stepper scans for it on every launch; the event engine
+/// answers the same question from a [`SlotPool`]'s heap.
 pub(crate) fn pick_vm(free: &[usize], crashed: &[bool]) -> Option<usize> {
     free.iter()
         .enumerate()
         .filter(|&(vm, &n)| n > 0 && !crashed[vm])
         .max_by_key(|&(_, &n)| n)
         .map(|(vm, _)| vm)
-}
-
-/// Record a live VM's new free-slot count in its lazy heap. Called after
-/// every count change on a non-crashed VM; the superseded entry is left
-/// behind to be discarded as stale on a later pop.
-#[inline]
-fn bump_slot_heap(heap: &mut BinaryHeap<(u32, u32)>, free: &[usize], vm: usize) {
-    let c = free[vm] as u32;
-    if c > 0 {
-        heap.push((c, vm as u32));
-    }
-}
-
-/// Heap-backed [`pick_vm`]: discard stale tops (count out of date, or VM
-/// crashed) until one matches the live state. Every live VM with free
-/// slots has a current entry — [`bump_slot_heap`] maintains that — so the
-/// surviving top is the true maximum, and the `(count, vm)` tuple order
-/// reproduces the scan's last-max tie-break (ties go to the higher VM).
-#[inline]
-fn pick_slot(heap: &mut BinaryHeap<(u32, u32)>, free: &[usize], crashed: &[bool]) -> Option<usize> {
-    while let Some(&(c, vm)) = heap.peek() {
-        let vm = vm as usize;
-        if !crashed[vm] && free[vm] as u32 == c {
-            return Some(vm);
-        }
-        heap.pop();
-    }
-    None
-}
-
-/// [`pick_slot`], excluding one VM (a straggler's own host when placing
-/// its speculative backup). Valid entries for the excluded VM are popped
-/// past — they are duplicates of one `(count, vm)` value, so keeping a
-/// single representative to push back preserves the heap invariant.
-fn pick_slot_excluding(
-    heap: &mut BinaryHeap<(u32, u32)>,
-    free: &[usize],
-    crashed: &[bool],
-    orig: usize,
-) -> Option<usize> {
-    let mut stash = None;
-    let found = loop {
-        let Some(&(c, vm)) = heap.peek() else {
-            break None;
-        };
-        let vm = vm as usize;
-        if crashed[vm] || free[vm] as u32 != c {
-            heap.pop();
-        } else if vm == orig {
-            stash = heap.pop();
-        } else {
-            break Some(vm);
-        }
-    };
-    if let Some(e) = stash {
-        heap.push(e);
-    }
-    found
 }
 
 /// The storage tier a stage streams against, for diagnostics.
@@ -2367,11 +2161,79 @@ pub(crate) fn arm_task_with(plan: &FaultPlan, rng: &mut StdRng, task: &mut Runni
     }
 }
 
-pub(crate) fn nan_zero(x: f64) -> f64 {
-    if x.is_nan() {
-        0.0
-    } else {
-        x
+/// The report both engines return: per-job metrics in finishing order,
+/// the makespan `clock` and the run's fault totals.
+pub(crate) fn build_report(jobs: &[JobRun], clock: f64, vm_crashes: u32) -> SimReport {
+    let nan_zero = |x: f64| if x.is_nan() { 0.0 } else { x };
+    let mut metrics: Vec<JobMetrics> = jobs
+        .iter()
+        .map(|j| JobMetrics {
+            job: j.job.id,
+            submitted: Duration::from_secs(nan_zero(j.submitted)),
+            started: Duration::from_secs(nan_zero(j.started)),
+            finished: Duration::from_secs(nan_zero(j.finished)),
+            stage_in: Duration::from_secs(j.phase_secs[0]),
+            map: Duration::from_secs(j.phase_secs[1]),
+            reduce: Duration::from_secs(j.phase_secs[3]),
+            stage_out: Duration::from_secs(j.phase_secs[4]),
+            failures: j.failures,
+            retries: j.retries,
+            speculations: j.speculations,
+            kills: j.kills,
+        })
+        .collect();
+    metrics.sort_by(|a, b| a.finished.secs().total_cmp(&b.finished.secs()));
+    SimReport {
+        jobs: metrics,
+        makespan: Duration::from_secs(clock),
+        faults: FaultSummary {
+            task_failures: jobs.iter().map(|j| j.failures).sum(),
+            retries: jobs.iter().map(|j| j.retries).sum(),
+            speculations: jobs.iter().map(|j| j.speculations).sum(),
+            kills: jobs.iter().map(|j| j.kills).sum(),
+            vm_crashes,
+        },
+    }
+}
+
+/// A [`SimError::Stalled`] at `clock` carrying whatever is known about
+/// the first unfinished job: its id, its phase and the tier its next
+/// task streams against.
+pub(crate) fn stalled_error(jobs: &[JobRun], clock: f64) -> SimError {
+    let blocked = jobs.iter().find(|j| j.phase != JobPhase::Done);
+    let (job, phase, tier) = match blocked {
+        Some(j) => {
+            let tier = j
+                .pending
+                .front()
+                .and_then(|t| t.stages.first())
+                .and_then(|s| s.read.map(|(t, _)| t).or(s.write.map(|(t, _)| t)))
+                .map(|t| t.name().to_string());
+            (Some(j.job.id.0), Some(j.phase.name()), tier)
+        }
+        None => (None, None, None),
+    };
+    SimError::Stalled {
+        at_secs: clock,
+        job,
+        phase,
+        tier,
+    }
+}
+
+/// A [`SimError::EventBudgetExhausted`] at `clock` after `steps` events,
+/// with `active_tasks` still running.
+pub(crate) fn budget_error(
+    jobs: &[JobRun],
+    clock: f64,
+    steps: u64,
+    active_tasks: usize,
+) -> SimError {
+    SimError::EventBudgetExhausted {
+        at_secs: clock,
+        steps,
+        active_tasks,
+        active_jobs: jobs.iter().filter(|j| j.phase != JobPhase::Done).count(),
     }
 }
 
@@ -3038,6 +2900,58 @@ mod tests {
             "0.5 x 0.5 overlap must equal a single 0.25 window: \
              {overlapped} vs {quartered}"
         );
+    }
+
+    // ---- slot pool ----
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// The heap-backed pick answers what the reference engine's scan
+        /// answers, through any mix of takes, releases, crashes and
+        /// recoveries: after every operation `pick(crashed, except)`
+        /// equals [`pick_vm`] over the free counts with `except` zeroed.
+        #[test]
+        fn slot_pool_pick_matches_the_scan(
+            nvm in 1usize..41,
+            slots in 0usize..4,
+            ops in proptest::collection::vec((0u32..5, 0usize..40, 0usize..41), 1..150),
+        ) {
+            let mut pool = SlotPool::default();
+            pool.reset(nvm, slots, &mut 0);
+            let mut crashed = vec![false; nvm];
+            for (op, vm, except) in ops {
+                let vm = vm % nvm;
+                match op {
+                    // Take where dispatch would: on the VM a pick returns.
+                    0 => {
+                        if let Some(v) = pool.pick(&crashed, None) {
+                            pool.take(v);
+                        }
+                    }
+                    1 if !crashed[vm] && pool.free[vm] > 0 => pool.take(vm),
+                    2 if !crashed[vm] && pool.free[vm] < slots => pool.release(vm, &crashed),
+                    3 if !crashed[vm] => {
+                        crashed[vm] = true;
+                        pool.crash(vm, slots);
+                    }
+                    4 if crashed[vm] => {
+                        crashed[vm] = false;
+                        pool.recover(vm);
+                    }
+                    _ => {}
+                }
+                let except = (except % (nvm + 1) < nvm).then_some(except % (nvm + 1));
+                for except in [None, except] {
+                    let mut free = pool.free.clone();
+                    if let Some(e) = except {
+                        free[e] = 0;
+                    }
+                    let scan = pick_vm(&free, &crashed);
+                    proptest::prop_assert_eq!(pool.pick(&crashed, except), scan);
+                }
+            }
+        }
     }
 }
 

@@ -12,22 +12,26 @@
 //! Semantics are documented on [`crate::engine`]; this module only
 //! differs in *how* time is advanced, never in *what* is simulated. Keep
 //! the two engines' decision points (dispatch order, VM picks, fault
-//! arming, speculation policy) in lockstep when editing either.
+//! arming, speculation policy) in lockstep when editing either. The
+//! engines share code only where a second copy would check nothing: the
+//! keyed fault draw, report assembly and the stall and budget errors.
+//! Time advancement, the `pick_vm` scan and the per-VM slot counts here
+//! are the reference's own, so the oracle checks the event engine's
+//! completion heap, lazy advancement and slot pools independently.
 
 use cast_obs::{Collector, EventBody};
 
 use crate::config::{Concurrency, SimConfig, EVENT_BUDGET};
 use crate::engine::{
-    nan_zero, pick_vm, stage_tier, FaultEventKind, FaultState, RetryEntry, SimObs, TaskEventKind,
-    BACKUP_BIT, CONTENTION_STRIDE, EPS,
+    budget_error, build_report, pick_vm, stage_tier, stalled_error, EngineStats, FaultEventKind,
+    FaultState, RetryEntry, SimObs, TaskEventKind, BACKUP_BIT, CONTENTION_STRIDE, EPS,
 };
 use crate::error::SimError;
 use crate::fault::attempt_rng;
 use crate::jobrun::{JobPhase, JobRun};
-use crate::metrics::{FaultSummary, JobMetrics, SimReport};
+use crate::metrics::SimReport;
 use crate::resources::ShareRegistry;
 use crate::task::{RunningTask, SlotKind};
-use cast_cloud::units::Duration;
 
 /// The original O(events × active tasks) stepper. Construct with
 /// [`ReferenceEngine::new`], run with [`ReferenceEngine::run`].
@@ -82,8 +86,9 @@ impl<'a> ReferenceEngine<'a> {
     }
 
     /// [`ReferenceEngine::run`], also returning execution statistics
-    /// (mirrors [`crate::engine::Engine::run_with_stats`]).
-    pub fn run_with_stats(mut self) -> Result<(SimReport, crate::engine::EngineStats), SimError> {
+    /// (mirrors [`crate::engine::Engine::run_with_stats`]; only `steps`
+    /// is counted).
+    pub fn run_with_stats(mut self) -> Result<(SimReport, EngineStats), SimError> {
         if let Err(reason) = self.cfg.faults.validate(self.cfg.nvm) {
             return Err(SimError::InvalidFaultPlan { reason });
         }
@@ -100,73 +105,29 @@ impl<'a> ReferenceEngine<'a> {
                 }
                 // No runnable work, but a retry backoff or a scheduled
                 // fault event (e.g. a VM recovery) may unblock us.
-                if let Some(wake) = self.next_wake() {
-                    self.clock = wake;
-                    events += 1;
-                    if events > EVENT_BUDGET {
-                        return Err(self.budget_error(events));
-                    }
-                    continue;
-                }
-                return Err(self.stalled_error());
+                let Some(wake) = self.next_wake() else {
+                    return Err(stalled_error(&self.jobs, self.clock));
+                };
+                self.clock = wake;
+            } else {
+                self.step()?;
             }
-            self.step()?;
             events += 1;
             if events > EVENT_BUDGET {
-                return Err(self.budget_error(events));
+                return Err(budget_error(
+                    &self.jobs,
+                    self.clock,
+                    events,
+                    self.tasks.len(),
+                ));
             }
         }
-        let mut metrics: Vec<JobMetrics> = self
-            .jobs
-            .iter()
-            .map(|j| JobMetrics {
-                job: j.job.id,
-                submitted: Duration::from_secs(nan_zero(j.submitted)),
-                started: Duration::from_secs(nan_zero(j.started)),
-                finished: Duration::from_secs(nan_zero(j.finished)),
-                stage_in: Duration::from_secs(j.phase_secs[0]),
-                map: Duration::from_secs(j.phase_secs[1]),
-                reduce: Duration::from_secs(j.phase_secs[3]),
-                stage_out: Duration::from_secs(j.phase_secs[4]),
-                failures: j.failures,
-                retries: j.retries,
-                speculations: j.speculations,
-                kills: j.kills,
-            })
-            .collect();
-        metrics.sort_by(|a, b| a.finished.secs().total_cmp(&b.finished.secs()));
-        let faults = FaultSummary {
-            task_failures: self.jobs.iter().map(|j| j.failures).sum(),
-            retries: self.jobs.iter().map(|j| j.retries).sum(),
-            speculations: self.jobs.iter().map(|j| j.speculations).sum(),
-            kills: self.jobs.iter().map(|j| j.kills).sum(),
-            vm_crashes: self.fault.vm_crashes,
+        let report = build_report(&self.jobs, self.clock, self.fault.vm_crashes);
+        let stats = EngineStats {
+            steps: events,
+            ..EngineStats::default()
         };
-        let report = SimReport {
-            jobs: metrics,
-            makespan: Duration::from_secs(self.clock),
-            faults,
-        };
-        Ok((
-            report,
-            crate::engine::EngineStats {
-                steps: events,
-                ..Default::default()
-            },
-        ))
-    }
-
-    fn budget_error(&self, steps: u64) -> SimError {
-        SimError::EventBudgetExhausted {
-            at_secs: self.clock,
-            steps,
-            active_tasks: self.tasks.len(),
-            active_jobs: self
-                .jobs
-                .iter()
-                .filter(|j| j.phase != JobPhase::Done)
-                .count(),
-        }
+        Ok((report, stats))
     }
 
     /// Move `Waiting` jobs whose dependencies are done into their first
@@ -552,30 +513,6 @@ impl<'a> ReferenceEngine<'a> {
             }
         }
         wake.is_finite().then_some(wake)
-    }
-
-    /// Build a [`SimError::Stalled`] carrying whatever is known about the
-    /// first blocked job.
-    fn stalled_error(&self) -> SimError {
-        let blocked = self.jobs.iter().find(|j| j.phase != JobPhase::Done);
-        let (job, phase, tier) = match blocked {
-            Some(j) => {
-                let tier = j
-                    .pending
-                    .front()
-                    .and_then(|t| t.stages.first())
-                    .and_then(|s| s.read.map(|(t, _)| t).or(s.write.map(|(t, _)| t)))
-                    .map(|t| t.name().to_string());
-                (Some(j.job.id.0), Some(j.phase.name()), tier)
-            }
-            None => (None, None, None),
-        };
-        SimError::Stalled {
-            at_secs: self.clock,
-            job,
-            phase,
-            tier,
-        }
     }
 
     fn release_slot(&mut self, vm: usize, slot: SlotKind) {

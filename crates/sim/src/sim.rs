@@ -5,8 +5,9 @@
 //! ([`prepare_runs`]) and returns the live [`Engine`]. Run it to
 //! completion ([`Engine::run`]), or advance it to a time horizon
 //! ([`Engine::run_until`]), snapshot it ([`Engine::snapshot`]), fork
-//! what-if candidates off the snapshot, and only then
-//! [`Engine::finish`] — the substrate for online replanning.
+//! what-if candidates off the snapshot, and only then run the rest
+//! ([`Engine::run`], or [`Engine::run_with_stats`] for the counters too)
+//! — the substrate for online replanning.
 //!
 //! Callers that simulate migrations alongside the workload, or reuse an
 //! [`crate::EngineScratch`] across runs, lower through [`prepare_runs`]
@@ -115,7 +116,7 @@ mod tests {
         while sim.run_until(horizon)? == RunState::Running {
             horizon *= 2.0;
         }
-        let segmented = sim.finish().unwrap();
+        let segmented = sim.run_with_stats().unwrap();
         assert_eq!(
             serde_json::to_string(&full.0).unwrap(),
             serde_json::to_string(&segmented.0).unwrap()

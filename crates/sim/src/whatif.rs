@@ -71,7 +71,7 @@ pub fn score_cold(
         let mut eng = Engine::new(cfg, runs.to_vec());
         eng.run_until(horizon)?;
         apply_candidate(&mut eng, &candidates[i]);
-        eng.finish().map(|(report, _)| report)
+        eng.run()
     })
     .into_iter()
     .collect()
@@ -88,7 +88,7 @@ pub fn score_forked(
     run_indexed(workers, candidates.len(), |i| {
         let mut eng = snapshot.fork();
         apply_candidate(&mut eng, &candidates[i]);
-        eng.finish().map(|(report, _)| report)
+        eng.run()
     })
     .into_iter()
     .collect()

@@ -39,17 +39,26 @@ const USAGE: &str = "usage:\n  cast catalog\n  cast synth [--jobs N] [--share F]
                      strategies: ephssd, persssd, pershdd, objstore, greedy, greedy-over,\n\
                      cast, cast++ (default)";
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// The value after flag `name` (`None` when the flag is absent). A flag
+/// given last, with no value after it, is reported with the usage line.
+fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, ExitCode> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) => Ok(Some(v)),
+        None => {
+            eprintln!("{name} takes a value\n{USAGE}");
+            Err(ExitCode::FAILURE)
+        }
+    }
 }
 
 /// The value of flag `name` parsed as `T` (`None` when the flag is
-/// absent). A value that does not parse is reported with the usage line.
+/// absent). A missing value, or one that does not parse, is reported
+/// with the usage line.
 fn parse_flag<T: FromStr>(args: &[String], name: &str, what: &str) -> Result<Option<T>, ExitCode> {
-    flag_value(args, name)
+    flag_value(args, name)?
         .map(|v| {
             v.parse().map_err(|_| {
                 eprintln!("{name} takes {what}, got {v:?}\n{USAGE}");
@@ -132,9 +141,12 @@ fn demo_spec() -> WorkloadSpec {
 }
 
 fn cmd_plan(args: &[String]) -> ExitCode {
+    let Ok(spec_path) = flag_value(args, "--spec") else {
+        return ExitCode::FAILURE;
+    };
     let spec: WorkloadSpec = if args.iter().any(|a| a == "--demo") {
         demo_spec()
-    } else if let Some(path) = flag_value(args, "--spec") {
+    } else if let Some(path) = spec_path {
         match fs::read_to_string(path)
             .map_err(|e| e.to_string())
             .and_then(|s| serde_json::from_str(&s).map_err(|e| e.to_string()))
@@ -159,8 +171,9 @@ fn cmd_plan(args: &[String]) -> ExitCode {
     };
     let nvm: usize = nvm.unwrap_or(25);
     let strategy = match flag_value(args, "--strategy") {
-        None => PlanStrategy::CastPlusPlus,
-        Some(name) => match parse_strategy(name) {
+        Err(code) => return code,
+        Ok(None) => PlanStrategy::CastPlusPlus,
+        Ok(Some(name)) => match parse_strategy(name) {
             Some(s) => s,
             None => {
                 eprintln!("unknown strategy {name:?}");

@@ -17,6 +17,10 @@ fn bad_flag_values_fail_with_usage_not_panic() {
         (&["synth", "--share", "x"][..], "--share"),
         (&["synth", "--seed", "y"][..], "--seed"),
         (&["synth", "--jobs", "z"][..], "--jobs"),
+        // A value flag given last, with no value after it.
+        (&["plan", "--demo", "--nvm"][..], "--nvm"),
+        (&["plan", "--demo", "--strategy"][..], "--strategy"),
+        (&["synth", "--jobs"][..], "--jobs"),
     ] {
         let out = cast(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -195,13 +195,13 @@ proptest! {
         }];
         let runs = prepare_runs(&spec, &placements, &migrations, &cfg).expect("lowering");
 
-        let (fresh, _) = Engine::new(&cfg, runs.clone()).finish().expect("fresh run");
+        let (fresh, _) = Engine::new(&cfg, runs.clone()).run_with_stats().expect("fresh run");
 
         let fresh_json = serde_json::to_string(&fresh).expect("serializable");
         let mut live = Engine::new(&cfg, runs.clone());
         live.run_until(fresh.makespan.secs() * frac).expect("prefix");
         let snapshot = live.snapshot();
-        let (forked, _) = snapshot.fork().finish().expect("forked run");
+        let (forked, _) = snapshot.fork().run_with_stats().expect("forked run");
         prop_assert_eq!(&fresh_json, &serde_json::to_string(&forked).expect("serializable"));
 
         // The same fork off a live engine built on a reused scratch, as
@@ -216,7 +216,7 @@ proptest! {
             .expect("dirtying prefix");
         let mut live = Engine::with_scratch(&cfg, runs, &mut scratch);
         live.run_until(fresh.makespan.secs() * frac).expect("prefix");
-        let (forked, _) = live.snapshot().fork().finish().expect("forked run");
+        let (forked, _) = live.snapshot().fork().run_with_stats().expect("forked run");
         prop_assert_eq!(&fresh_json, &serde_json::to_string(&forked).expect("serializable"));
     }
 }
