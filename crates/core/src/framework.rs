@@ -185,8 +185,10 @@ impl Cast {
 
     /// Produce a tiering plan for `spec` with `strategy`. The annealing
     /// strategies run the default schedules ([`AnnealConfig::default`],
-    /// [`CastPlusPlusConfig::default`]).
+    /// [`CastPlusPlusConfig::default`]). A spec that fails
+    /// [`WorkloadSpec::validate`] is [`CastError::Workload`].
     pub fn plan(&self, spec: &WorkloadSpec, strategy: PlanStrategy) -> Result<Planned, CastError> {
+        spec.validate()?;
         let ctx = EvalContext::new(&self.estimator, spec);
         match strategy {
             PlanStrategy::Uniform(tier) => {
@@ -241,14 +243,16 @@ impl Cast {
     }
 
     /// Deploy a plan on the simulated cluster and measure the outcome;
-    /// the run records into the attached collector. A malformed plan is
-    /// [`CastError::Solver`]; a provisioning or simulation failure is
-    /// [`CastError::Sim`].
+    /// the run records into the attached collector. A spec that fails
+    /// [`WorkloadSpec::validate`] is [`CastError::Workload`]; a malformed
+    /// plan is [`CastError::Solver`]; a provisioning or simulation
+    /// failure is [`CastError::Sim`].
     pub fn deploy(
         &self,
         spec: &WorkloadSpec,
         plan: &TieringPlan,
     ) -> Result<DeployOutcome, CastError> {
+        spec.validate()?;
         deploy::deploy(&self.estimator, spec, plan, &self.obs)
     }
 
@@ -367,6 +371,58 @@ mod tests {
         // Utility maximisation runs plain CAST (no workflow evaluations).
         let utility = fw.plan(&spec, PlanStrategy::Cast).unwrap();
         assert!(utility.workflows.is_empty());
+    }
+
+    /// Two Grep jobs on a 20 GB dataset; `corrupt` breaks the spec.
+    fn two_grep_jobs(corrupt: impl Fn(&mut WorkloadSpec)) -> WorkloadSpec {
+        let mut spec = synth::single_job(cast_workload::AppKind::Grep, DataSize::from_gb(20.0));
+        let mut second = spec.jobs[0];
+        second.id = cast_workload::JobId(1);
+        spec.jobs.push(second);
+        corrupt(&mut spec);
+        spec
+    }
+
+    /// `plan` under both annealing strategies and `deploy` of a uniform
+    /// plan all fail on `spec` with `expected`.
+    fn assert_rejected(spec: &WorkloadSpec, expected: cast_workload::WorkloadError) {
+        let fw = quick_framework();
+        for strategy in [PlanStrategy::Cast, PlanStrategy::CastPlusPlus] {
+            let err = fw.plan(spec, strategy).unwrap_err();
+            assert!(
+                matches!(&err, CastError::Workload(e) if *e == expected),
+                "{strategy}: {err}"
+            );
+        }
+        let plan = TieringPlan::uniform(spec, Tier::PersSsd);
+        let err = fw.deploy(spec, &plan).unwrap_err();
+        assert!(
+            matches!(&err, CastError::Workload(e) if *e == expected),
+            "deploy: {err}"
+        );
+        assert!(err.to_string().starts_with("workload error"), "{err}");
+    }
+
+    #[test]
+    fn plan_and_deploy_reject_an_undeclared_dataset() {
+        let spec = two_grep_jobs(|s| {
+            for job in &mut s.jobs {
+                job.dataset = cast_workload::DatasetId(99);
+            }
+        });
+        assert_rejected(
+            &spec,
+            cast_workload::WorkloadError::UnknownDataset {
+                job: 0,
+                dataset: 99,
+            },
+        );
+    }
+
+    #[test]
+    fn plan_and_deploy_reject_a_duplicate_job_id() {
+        let spec = two_grep_jobs(|s| s.jobs[1].id = s.jobs[0].id);
+        assert_rejected(&spec, cast_workload::WorkloadError::DuplicateJob(0));
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! No shrinking: a failing case reports its inputs via the panic message
 //! of the assertion that fired. Sampling is seeded with a fixed constant,
 //! so test runs are reproducible.
+//!
+//! `PROPTEST_CASES=N` in the environment runs `N` cases per property,
+//! overriding even an explicit `ProptestConfig::with_cases`, so one
+//! command can run a suite's properties at depth (see
+//! [`test_runner::ProptestConfig::cases_to_run`]). Upstream proptest
+//! reads the variable only as the default case count.
 
 pub mod collection;
 pub mod sample;
@@ -55,11 +61,11 @@ macro_rules! __proptest_items {
     ) => {
         $(#[$meta])*
         fn $name() {
-            let __cfg = $cfg;
+            let __cases = $crate::test_runner::ProptestConfig::cases_to_run(&$cfg);
             let mut __rng = $crate::test_runner::TestRng::deterministic();
             let mut __ran: u32 = 0;
             let mut __attempts: u32 = 0;
-            while __ran < __cfg.cases && __attempts < __cfg.cases * 16 {
+            while __ran < __cases && __attempts < __cases.saturating_mul(16) {
                 __attempts += 1;
                 let __vals = ($($crate::strategy::Strategy::sample(&$strat, &mut __rng),)+);
                 let __inputs = format!(

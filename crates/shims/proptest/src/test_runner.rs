@@ -14,6 +14,19 @@ impl ProptestConfig {
     pub fn with_cases(cases: u32) -> ProptestConfig {
         ProptestConfig { cases }
     }
+
+    /// Cases a `proptest!` block runs: `PROPTEST_CASES` when it is set to
+    /// a positive integer, else `self.cases`. Upstream proptest only uses
+    /// the variable as the default, so an explicit `with_cases` wins
+    /// there; here the variable wins, which is how a CI step runs
+    /// properties deeper than `cargo test` does.
+    pub fn cases_to_run(&self) -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.trim().parse::<u32>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or(self.cases)
+    }
 }
 
 impl Default for ProptestConfig {

@@ -2724,6 +2724,49 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_crash_windows_are_an_invalid_fault_plan() {
+        // VM 0 down 5–25 s, then a permanent crash at 10 s; and a crash
+        // at the very instant of an earlier window's recovery.
+        for second in [
+            VmCrash {
+                vm: 0,
+                at_secs: 10.0,
+                down_secs: None,
+            },
+            VmCrash {
+                vm: 0,
+                at_secs: 25.0,
+                down_secs: Some(5.0),
+            },
+        ] {
+            let mut c = cfg(2);
+            c.faults = FaultPlan {
+                vm_crashes: vec![
+                    second,
+                    VmCrash {
+                        vm: 0,
+                        at_secs: 5.0,
+                        down_secs: Some(20.0),
+                    },
+                ],
+                ..FaultPlan::default()
+            };
+            let err = try_run(AppKind::Grep, 60.0, Tier::PersSsd, &c).unwrap_err();
+            assert!(
+                matches!(&err, SimError::InvalidFaultPlan { reason } if reason.contains("VM 0")),
+                "{err}"
+            );
+            let err = crate::reference::ReferenceEngine::new(
+                &c,
+                one_job(AppKind::Grep, 60.0, Tier::PersSsd),
+            )
+            .run()
+            .unwrap_err();
+            assert!(matches!(err, SimError::InvalidFaultPlan { .. }), "{err}");
+        }
+    }
+
+    #[test]
     fn retry_budget_exhaustion_fails_the_job() {
         let mut c = cfg(1);
         c.faults = FaultPlan {

@@ -165,6 +165,33 @@ impl FaultPlan {
                 }
             }
         }
+        // A crash that lands while its VM is down is ignored, and the
+        // earlier crash's recovery would then undo it. So the down
+        // intervals `[at, at + down]` of one VM may not overlap, and may
+        // not touch either: events are sorted stably by time, so a crash
+        // listed first would land before the other's same-instant
+        // recovery.
+        let mut windows: Vec<(u32, f64, f64)> = self
+            .vm_crashes
+            .iter()
+            .map(|c| {
+                (
+                    c.vm,
+                    c.at_secs,
+                    c.at_secs + c.down_secs.unwrap_or(f64::INFINITY),
+                )
+            })
+            .collect();
+        windows.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        for w in windows.windows(2) {
+            let ((vm, at, end), (next_vm, next_at, _)) = (w[0], w[1]);
+            if vm == next_vm && next_at <= end {
+                return Err(format!(
+                    "vm_crashes overlap on VM {vm}: a crash at {next_at} s lands while the VM \
+                     is down from {at} s to {end} s"
+                ));
+            }
+        }
         for w in &self.degradations {
             if let Some(vm) = w.vm {
                 if vm as usize >= nvm {
@@ -272,6 +299,41 @@ mod tests {
             ..FaultPlan::with_task_failures(0.1)
         };
         assert!(no_attempts.validate(4).is_err());
+    }
+
+    #[test]
+    fn validation_rejects_overlapping_or_touching_crash_windows() {
+        let crashes = |list: &[(u32, f64, Option<f64>)]| FaultPlan {
+            vm_crashes: list
+                .iter()
+                .map(|&(vm, at_secs, down_secs)| VmCrash {
+                    vm,
+                    at_secs,
+                    down_secs,
+                })
+                .collect(),
+            ..FaultPlan::default()
+        };
+        // VM 0 is down 5–25 s; a permanent crash at 10 s would be undone
+        // by the first window's recovery. Listing order does not matter.
+        let nested = [(0, 5.0, Some(20.0)), (0, 10.0, None)];
+        assert!(crashes(&nested).validate(2).is_err());
+        assert!(crashes(&[nested[1], nested[0]]).validate(2).is_err());
+        // Down 5–10 s, then a crash at exactly 10 s.
+        let touching = [(0, 10.0, Some(5.0)), (0, 5.0, Some(5.0))];
+        let err = crashes(&touching).validate(2).unwrap_err();
+        assert!(err.contains("VM 0"), "{err}");
+        // After a permanent crash nothing may follow on that VM.
+        assert!(crashes(&[(1, 5.0, None), (1, 500.0, Some(1.0))])
+            .validate(2)
+            .is_err());
+        // Disjoint windows on one VM, and overlapping ones on two VMs.
+        assert!(crashes(&[(0, 5.0, Some(5.0)), (0, 10.5, None)])
+            .validate(2)
+            .is_ok());
+        assert!(crashes(&[(0, 5.0, Some(20.0)), (1, 10.0, None)])
+            .validate(2)
+            .is_ok());
     }
 
     #[test]

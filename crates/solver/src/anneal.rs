@@ -17,7 +17,11 @@
 //! * the inner loop never materialises a neighbour plan — moves are
 //!   applied in place and undone on rejection, and utility-mode solves
 //!   score through [`IncrementalEval`]'s ledger + memo instead of a full
-//!   [`evaluate`] per neighbour (bit-identical scores, same trajectory);
+//!   [`evaluate`] per neighbour (bit-identical scores, same trajectory).
+//!   A proposal that changes nothing (a capacity nudge past either end of
+//!   the grid) is not scored at all: it keeps the current score, which is
+//!   exact because scoring is a pure function of the plan and Metropolis
+//!   draws no random number at Δ = 0;
 //! * `restarts > 1` runs N independent annealing chains on the
 //!   [`cast_sim::par`] worker pool (index-claimed, capped at the
 //!   machine's parallelism instead of one thread per restart), each
@@ -210,7 +214,7 @@ impl Annealer {
         // seed from its index, so results are bit-identical for any
         // worker count (cast_sim::par's determinism contract).
         let mut chains: Vec<Result<ChainResult<Vec<Assignment>>, SolverError>> =
-            par::run_indexed(par::default_workers(), restarts, |r| {
+            par::run_indexed(workers(restarts), restarts, |r| {
                 self.chain_incremental(ctx, &init, &gen, r, restart_seed(self.cfg.seed, r))
             });
         self.observe_chains(&mut chains, t0.elapsed().as_secs_f64());
@@ -252,7 +256,8 @@ impl Annealer {
 
     /// One annealing chain over [`IncrementalEval`] state. Mirrors
     /// [`Annealer::chain_plan`] decision for decision; only the scoring
-    /// substrate differs.
+    /// substrate differs. Proposals name jobs by spec position, which is
+    /// the state's own order.
     fn chain_incremental(
         &self,
         ctx: &EvalContext<'_>,
@@ -278,14 +283,26 @@ impl Annealer {
         };
         let mut events = ChainEvents::new(&self.obs, restart, seed);
         let mut temp = self.temp_init;
-        let mut moves: Vec<(cast_workload::JobId, Assignment)> = Vec::new();
-        let mut undo: Vec<(cast_workload::JobId, Assignment)> = Vec::new();
+        let mut moves: Vec<(usize, Assignment)> = Vec::new();
+        let mut undo: Vec<(usize, Assignment)> = Vec::new();
+        let mut until_sample = 0;
 
         for iter in 0..self.cfg.iterations {
             temp *= COOLING;
-            gen.propose(|j| state.assignment(j), &mut rng, None, &mut moves);
-            state.apply(&moves, &mut undo);
-            let n_score = state.score()?;
+            gen.propose(
+                |p| state.assignments().get(p).copied(),
+                &mut rng,
+                None,
+                &mut moves,
+            );
+            state.apply(&moves, &mut undo)?;
+            // An empty proposal leaves the plan as it is, and `score` is a
+            // pure function of the plan.
+            let n_score = if moves.is_empty() {
+                current_score
+            } else {
+                state.score()?
+            };
             diag.iterations += 1;
 
             if n_score > best_score {
@@ -300,10 +317,12 @@ impl Annealer {
             } else {
                 state.restore(&undo);
             }
-            if iter % diag.trace_stride == 0 {
+            if until_sample == 0 {
+                until_sample = diag.trace_stride;
                 diag.trace.push(best_score);
                 events.sample(iter, n_score, best_score, temp, accepted, &diag);
             }
+            until_sample -= 1;
         }
         diag.best_score = best_score;
         let cache = state.cache_stats();
@@ -330,7 +349,9 @@ impl Annealer {
     ///
     /// The score closure is called on the candidate plan only — no
     /// per-iteration evaluation payloads are built; the caller
-    /// materialises whatever it needs from the winning plan once.
+    /// materialises whatever it needs from the winning plan once. A
+    /// proposal that leaves the plan unchanged keeps the current score
+    /// without a call, so `score` must be a pure function of the plan.
     pub fn solve_with<S>(
         &self,
         init: TieringPlan,
@@ -344,7 +365,7 @@ impl Annealer {
         let restarts = self.cfg.restarts.max(1);
         let t0 = std::time::Instant::now();
         let mut chains: Vec<Result<ChainResult<TieringPlan>, SolverError>> =
-            par::run_indexed(par::default_workers(), restarts, |r| {
+            par::run_indexed(workers(restarts), restarts, |r| {
                 self.chain_plan(
                     init.clone(),
                     gen,
@@ -396,19 +417,28 @@ impl Annealer {
         };
         let mut events = ChainEvents::new(&self.obs, restart, seed);
         let mut temp = self.temp_init;
-        let mut moves: Vec<(cast_workload::JobId, Assignment)> = Vec::new();
+        let mut moves: Vec<(usize, Assignment)> = Vec::new();
         let mut undo: Vec<(cast_workload::JobId, Assignment)> = Vec::new();
+        let mut until_sample = 0;
 
         for iter in 0..self.cfg.iterations {
             temp *= COOLING;
             let cursor = cursor_order.map(|ord| ord[iter % ord.len()]);
-            gen.propose(|j| current.get(j), &mut rng, cursor, &mut moves);
+            gen.propose(|p| current.get(gen.job_at(p)), &mut rng, cursor, &mut moves);
             undo.clear();
-            for &(job, a) in &moves {
+            for &(p, a) in &moves {
+                let job = gen.job_at(p);
                 undo.push((job, current.get(job).expect("proposed over assigned job")));
                 current.assign(job, a);
             }
-            let n_score = score(&current)?;
+            // As in `chain_incremental`: an empty proposal keeps the
+            // current score, and `score` must be a pure function of the
+            // plan.
+            let n_score = if moves.is_empty() {
+                current_score
+            } else {
+                score(&current)?
+            };
             diag.iterations += 1;
 
             if n_score > best_score {
@@ -426,10 +456,12 @@ impl Annealer {
                     current.assign(job, a);
                 }
             }
-            if iter % diag.trace_stride == 0 {
+            if until_sample == 0 {
+                until_sample = diag.trace_stride;
                 diag.trace.push(best_score);
                 events.sample(iter, n_score, best_score, temp, accepted, &diag);
             }
+            until_sample -= 1;
         }
         diag.best_score = best_score;
         let mut best = TieringPlan::new();
@@ -576,6 +608,16 @@ impl ChainEvents {
         obs.counter("anneal.improvements")
             .add(diag.improvements as u64);
         self.buf
+    }
+}
+
+/// Worker threads for `restarts` chains. A single chain runs inline, so
+/// it skips `available_parallelism`, which reads cgroup files on Linux.
+fn workers(restarts: usize) -> usize {
+    if restarts > 1 {
+        par::default_workers()
+    } else {
+        1
     }
 }
 

@@ -12,10 +12,21 @@
 //!   per-tier demand is re-derived from flat arrays with no map lookups or
 //!   profile dereferences — and in *exactly* the floating-point operation
 //!   order of [`TieringPlan::capacities`], keeping scores bit-identical;
+//! * jobs are addressed by *position* (spec order, the order
+//!   [`crate::neighbor::NeighborGen`] proposes in), so a move touches no
+//!   `JobId` map, and Eq. 3 is checked once per change —
+//!   [`IncrementalEval::new`] validates the initial plan and
+//!   [`IncrementalEval::apply`] each change it is handed — instead of for
+//!   every job on every score;
+//! * each tier's rounded capacity bits and per-VM capacity are cached, so
+//!   [`per_vm_capacity`] reruns only for tiers whose rounded capacity
+//!   changed;
 //! * a per-job **time ledger** remembers the last scoring key each job
 //!   was scored at; a one-job move changes at most a handful of tiers'
 //!   rounded capacities, so jobs whose key is unchanged reuse their
-//!   ledger entry without touching the estimator;
+//!   ledger entry without touching the estimator. The ledger is checked
+//!   on the unclamped per-VM capacity first, and only a miss there pays
+//!   for the class's clamp lookup and the clamped key;
 //! * a **memo cache** keyed by `(job class, tier, effective per-VM
 //!   capacity)` absorbs job duplication — jobs with identical
 //!   `(app, input, maps, reduces)`, the whole of what `REG` reads from a
@@ -118,19 +129,38 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-/// Ledger key: the inputs that determine one job's `REG` runtime.
-type TimeKey = (u8, u64);
+/// One job's time-ledger entry: the runtime it was last scored at and
+/// the key it was scored under.
+#[derive(Debug, Clone, Copy)]
+struct LedgerEntry {
+    /// Tier index.
+    tier: u8,
+    /// Bits of the tier's per-VM capacity.
+    per_vm: u64,
+    /// Bits of that capacity clamped into the class's saturation domain:
+    /// the key `REG` is a function of.
+    clamped: u64,
+    /// `REG` runtime at that key.
+    time: Duration,
+}
 
-/// Sentinel that never matches a real `(tier-index, capacity-bits)` key.
-const NO_KEY: TimeKey = (u8::MAX, u64::MAX);
+/// Sentinel that never matches a real tier index.
+const NO_ENTRY: LedgerEntry = LedgerEntry {
+    tier: u8::MAX,
+    per_vm: u64::MAX,
+    clamped: u64::MAX,
+    time: Duration::ZERO,
+};
+
+/// Sentinel that never matches a real capacity's bits (a NaN payload).
+const NO_BITS: u64 = u64::MAX;
 
 /// Mutable evaluation state for one plan under one [`EvalContext`].
 #[derive(Debug, Clone)]
 pub struct IncrementalEval<'a> {
     ctx: &'a EvalContext<'a>,
-    /// Position of each job in `ctx.spec.jobs` (the aggregation order).
-    index: HashMap<JobId, usize>,
-    /// Current assignment per job, in spec order.
+    /// Current assignment per job, in spec order (a job's index here is
+    /// its position).
     assignments: Vec<Assignment>,
     /// `inputᵢ + interᵢ + outputᵢ` per job (the Eq. 3 floor).
     footprint: Vec<DataSize>,
@@ -141,10 +171,12 @@ pub struct IncrementalEval<'a> {
     /// Reuse groups as `(dataset size, member indices)`, in
     /// [`WorkloadSpec::reuse_groups`] order (empty when reuse is off).
     groups: Vec<(DataSize, Vec<usize>)>,
-    /// Last-scored `(tier, capacity)` key per job.
-    ledger_key: Vec<TimeKey>,
-    /// Runtime at `ledger_key` per job.
-    ledger: Vec<Duration>,
+    /// Last-scored key and runtime per job.
+    ledger: Vec<LedgerEntry>,
+    /// Per tier, the bits of the rounded capacity last scored.
+    cap_bits: [u64; 4],
+    /// Per tier, [`per_vm_capacity`] of that rounded capacity.
+    per_vm: [f64; 4],
     /// Equivalence class of each job: jobs with identical
     /// `(app, input, maps, reduces)` are indistinguishable to `REG`.
     class: Vec<usize>,
@@ -181,11 +213,11 @@ const MEMO_ROW_CAP: usize = 8;
 
 impl<'a> IncrementalEval<'a> {
     /// Build evaluation state for `plan`, which must assign every job of
-    /// `ctx.spec`.
+    /// `ctx.spec` a factor satisfying Eq. 3. Positions are spec order, so
+    /// the spec's job ids must be unique ([`WorkloadSpec::validate`]).
     pub fn new(ctx: &'a EvalContext<'a>, plan: &TieringPlan) -> Result<Self, SolverError> {
         let spec = ctx.spec;
         let n = spec.jobs.len();
-        let mut index = HashMap::with_capacity(n);
         let mut assignments = Vec::with_capacity(n);
         let mut footprint = Vec::with_capacity(n);
         let mut inter = Vec::with_capacity(n);
@@ -196,8 +228,7 @@ impl<'a> IncrementalEval<'a> {
         let mut apps = Vec::new();
         let mut class = Vec::with_capacity(n);
         let mut class_app = Vec::new();
-        for (i, job) in spec.jobs.iter().enumerate() {
-            index.insert(job.id, i);
+        for job in &spec.jobs {
             assignments.push(plan.require(job.id)?);
             let profile = spec.profiles.get(job.app);
             footprint.push(job.footprint(profile));
@@ -215,6 +246,12 @@ impl<'a> IncrementalEval<'a> {
                 class_app.push(a);
             }
             class.push(c);
+        }
+        // Eq. 3 is checked here for the whole plan, once every job is
+        // known to be assigned (an unassigned job is reported first), and
+        // by `apply` for each later change; `score` relies on both.
+        for (job, a) in spec.jobs.iter().zip(&assignments) {
+            a.validate(job.id)?;
         }
         let clamp = apps
             .iter()
@@ -245,11 +282,17 @@ impl<'a> IncrementalEval<'a> {
             })
             .collect();
         let groups = if ctx.reuse_aware {
+            let position: HashMap<JobId, usize> = spec
+                .jobs
+                .iter()
+                .enumerate()
+                .map(|(i, j)| (j.id, i))
+                .collect();
             spec.reuse_groups()
                 .into_iter()
                 .map(|(ds, jobs)| {
                     let size = spec.dataset(ds).expect("validated spec").size;
-                    let members = jobs.iter().map(|j| index[j]).collect();
+                    let members = jobs.iter().map(|j| position[j]).collect();
                     (size, members)
                 })
                 .collect()
@@ -258,14 +301,14 @@ impl<'a> IncrementalEval<'a> {
         };
         Ok(IncrementalEval {
             ctx,
-            index,
             assignments,
             footprint,
             inter,
             in_out,
             groups,
-            ledger_key: vec![NO_KEY; n],
-            ledger: vec![Duration::ZERO; n],
+            ledger: vec![NO_ENTRY; n],
+            cap_bits: [NO_BITS; 4],
+            per_vm: [0.0; 4],
             memo: vec![Default::default(); class_of.len()],
             bw_memo: vec![Default::default(); apps.len()],
             stats: CacheStats::default(),
@@ -275,38 +318,47 @@ impl<'a> IncrementalEval<'a> {
         })
     }
 
-    /// The current assignment of `job`, if it exists in the spec.
-    pub fn assignment(&self, job: JobId) -> Option<Assignment> {
-        self.index.get(&job).map(|&i| self.assignments[i])
-    }
-
     /// Current assignments in spec order.
     pub fn assignments(&self) -> &[Assignment] {
         &self.assignments
     }
 
-    /// Apply a batch of assignment changes, pushing the displaced
-    /// assignments onto `undo` (in change order) so [`Self::restore`] can
-    /// roll the move back.
-    pub fn apply(&mut self, changes: &[(JobId, Assignment)], undo: &mut Vec<(JobId, Assignment)>) {
+    /// Apply a batch of `(position, assignment)` changes, pushing the
+    /// displaced assignments onto `undo` (in change order) so
+    /// [`Self::restore`] can roll the move back. A change that violates
+    /// Eq. 3 is a [`SolverError::CapacityViolation`], and then nothing is
+    /// applied.
+    ///
+    /// # Panics
+    ///
+    /// If a position is not below the spec's job count.
+    pub fn apply(
+        &mut self,
+        changes: &[(usize, Assignment)],
+        undo: &mut Vec<(usize, Assignment)>,
+    ) -> Result<(), SolverError> {
         undo.clear();
-        for &(job, a) in changes {
-            let i = self.index[&job];
-            undo.push((job, self.assignments[i]));
+        for &(i, a) in changes {
+            a.validate(self.ctx.spec.jobs[i].id)?;
+        }
+        for &(i, a) in changes {
+            undo.push((i, self.assignments[i]));
+            self.assignments[i] = a;
+        }
+        Ok(())
+    }
+
+    /// Roll back a move recorded by [`Self::apply`].
+    pub fn restore(&mut self, undo: &[(usize, Assignment)]) {
+        for &(i, a) in undo.iter().rev() {
             self.assignments[i] = a;
         }
     }
 
-    /// Roll back a move recorded by [`Self::apply`].
-    pub fn restore(&mut self, undo: &[(JobId, Assignment)]) {
-        for &(job, a) in undo.iter().rev() {
-            self.assignments[self.index[&job]] = a;
-        }
-    }
-
     /// Raw per-tier demand, replaying [`TieringPlan::capacities`]'s exact
-    /// operation order over the precomputed per-job quantities.
-    fn raw_capacities(&self) -> Result<PerTier<DataSize>, SolverError> {
+    /// operation order over the precomputed per-job quantities. Every
+    /// assignment already satisfies Eq. 3: `new` and `apply` checked it.
+    fn raw_capacities(&self) -> PerTier<DataSize> {
         let mut caps = PerTier::from_fn(|_| DataSize::ZERO);
         for (size, members) in &self.groups {
             // Distinct tiers in first-seen member order (≤ 4 of them).
@@ -329,9 +381,7 @@ impl<'a> IncrementalEval<'a> {
                 }
             }
         }
-        for (i, job) in self.ctx.spec.jobs.iter().enumerate() {
-            let a = self.assignments[i];
-            a.validate(job.id)?;
+        for (i, &a) in self.assignments.iter().enumerate() {
             let c = self.footprint[i] * a.overprov;
             *caps.get_mut(a.tier) += c;
             match a.tier {
@@ -345,38 +395,50 @@ impl<'a> IncrementalEval<'a> {
                 _ => {}
             }
         }
-        Ok(caps)
+        caps
     }
 
     /// Score the current assignments: the Eq. 2 tenant utility,
     /// bit-identical to `evaluate(&self.to_plan(), ctx)?.utility`.
     pub fn score(&mut self) -> Result<f64, SolverError> {
-        let raw = self.raw_capacities()?;
+        let raw = self.raw_capacities();
         let capacities = provision_round(self.ctx.estimator, &raw);
         // A tier's total reaches `REG` only through its per-VM capacity
         // (volume-rounded on volume-granular tiers), so that — clamped
-        // into each class's saturation domain — is the scoring key.
+        // into each class's saturation domain — is the scoring key. It is
+        // recomputed only for tiers whose rounded capacity moved.
         let est = self.ctx.estimator;
-        let mut per_vm = [0.0f64; 4];
         for tier in Tier::ALL {
-            per_vm[tier.index()] =
-                per_vm_capacity(&est.catalog, tier, *capacities.get(tier), est.cluster.nvm);
+            let ti = tier.index();
+            let bits = capacities.get(tier).bytes().to_bits();
+            if self.cap_bits[ti] != bits {
+                self.cap_bits[ti] = bits;
+                self.per_vm[ti] =
+                    per_vm_capacity(&est.catalog, tier, *capacities.get(tier), est.cluster.nvm);
+            }
         }
         let mut time = Duration::ZERO;
         for (i, job) in self.ctx.spec.jobs.iter().enumerate() {
             let a = self.assignments[i];
-            let tier_total = *capacities.get(a.tier);
-            let cls = self.class[i];
             let ti = a.tier.index();
-            let (lo, hi) = self.clamp[self.class_app[cls]][ti];
-            let bits = per_vm[ti].clamp(lo, hi).to_bits();
-            let key: TimeKey = (ti as u8, bits);
-            let t = if self.ledger_key[i] == key {
+            let per_vm = self.per_vm[ti];
+            let entry = &mut self.ledger[i];
+            // Equal per-VM capacities clamp to equal keys, so this hit
+            // skips the clamp lookup as well as the estimator.
+            if entry.tier == ti as u8 && entry.per_vm == per_vm.to_bits() {
                 self.stats.ledger_hits += 1;
-                self.ledger[i]
+                time += entry.time;
+                continue;
+            }
+            let cls = self.class[i];
+            let (lo, hi) = self.clamp[self.class_app[cls]][ti];
+            let bits = per_vm.clamp(lo, hi).to_bits();
+            let t = if entry.tier == ti as u8 && entry.clamped == bits {
+                self.stats.ledger_hits += 1;
+                entry.time
             } else {
                 let row = &mut self.memo[cls][ti];
-                let t = match row.iter().position(|&(c, _)| c == bits) {
+                match row.iter().position(|&(c, _)| c == bits) {
                     Some(pos) => {
                         self.stats.memo_hits += 1;
                         // Transpose-to-front: hot capacity points stay at
@@ -394,7 +456,7 @@ impl<'a> IncrementalEval<'a> {
                             }
                             None => {
                                 self.stats.misses += 1;
-                                let bw = est.matrix.bandwidths(job.app, a.tier, per_vm[ti])?;
+                                let bw = est.matrix.bandwidths(job.app, a.tier, per_vm)?;
                                 if bw_row.len() >= MEMO_ROW_CAP {
                                     bw_row.pop();
                                 }
@@ -404,6 +466,7 @@ impl<'a> IncrementalEval<'a> {
                                 bw
                             }
                         };
+                        let tier_total = *capacities.get(a.tier);
                         let t = est.reg_with_bw(job, a.tier, tier_total, bw);
                         if row.len() >= MEMO_ROW_CAP {
                             row.pop();
@@ -415,10 +478,13 @@ impl<'a> IncrementalEval<'a> {
                         row.swap(0, last);
                         t
                     }
-                };
-                self.ledger_key[i] = key;
-                self.ledger[i] = t;
-                t
+                }
+            };
+            *entry = LedgerEntry {
+                tier: ti as u8,
+                per_vm: per_vm.to_bits(),
+                clamped: bits,
+                time: t,
             };
             time += t;
         }
@@ -479,24 +545,80 @@ mod tests {
         let plan = TieringPlan::uniform(&spec, Tier::PersHdd);
         let mut inc = IncrementalEval::new(&ctx, &plan).unwrap();
         let before = inc.score().unwrap();
-        let job = spec.jobs[0].id;
         let mut undo = Vec::new();
         inc.apply(
             &[(
-                job,
+                0,
                 Assignment {
                     tier: Tier::EphSsd,
                     overprov: 4.0,
                 },
             )],
             &mut undo,
-        );
+        )
+        .unwrap();
         let moved = inc.score().unwrap();
         let moved_oracle = evaluate(&inc.to_plan(), &ctx).unwrap().utility;
         assert_eq!(moved.to_bits(), moved_oracle.to_bits());
         inc.restore(&undo);
         assert_eq!(inc.score().unwrap().to_bits(), before.to_bits());
         assert_eq!(inc.to_plan(), plan);
+    }
+
+    #[test]
+    fn apply_rejects_a_capacity_violation_and_changes_nothing() {
+        let spec = synth::prediction_workload();
+        let est = toy_estimator(25);
+        let ctx = EvalContext::new(&est, &spec);
+        let plan = TieringPlan::uniform(&spec, Tier::PersSsd);
+        let mut inc = IncrementalEval::new(&ctx, &plan).unwrap();
+        let before = inc.score().unwrap();
+        let mut undo = Vec::new();
+        let valid = Assignment {
+            tier: Tier::PersHdd,
+            overprov: 2.0,
+        };
+        let invalid = Assignment {
+            tier: Tier::ObjStore,
+            overprov: 0.5,
+        };
+        // The valid change listed first must not be applied either.
+        let err = inc.apply(&[(0, valid), (1, invalid)], &mut undo);
+        assert!(
+            matches!(
+                err,
+                Err(SolverError::CapacityViolation { job, factor })
+                    if job == spec.jobs[1].id.0 && factor == 0.5
+            ),
+            "{err:?}"
+        );
+        assert!(undo.is_empty());
+        assert_eq!(inc.to_plan(), plan);
+        assert_eq!(inc.score().unwrap().to_bits(), before.to_bits());
+    }
+
+    #[test]
+    fn new_rejects_a_capacity_violation() {
+        let spec = synth::prediction_workload();
+        let est = toy_estimator(25);
+        let ctx = EvalContext::new(&est, &spec);
+        let mut plan = TieringPlan::uniform(&spec, Tier::PersSsd);
+        for &i in &[3, 1] {
+            plan.assign(
+                spec.jobs[i].id,
+                Assignment {
+                    tier: Tier::PersSsd,
+                    overprov: 0.5,
+                },
+            );
+        }
+        // The first violation in spec order, as `evaluate` reports it.
+        let err = IncrementalEval::new(&ctx, &plan).unwrap_err();
+        assert_eq!(err, evaluate(&plan, &ctx).unwrap_err());
+        assert!(matches!(
+            err,
+            SolverError::CapacityViolation { job, .. } if job == spec.jobs[1].id.0
+        ));
     }
 
     #[test]
@@ -510,25 +632,25 @@ mod tests {
         let after_first = inc.memo_len();
         // Toggle one job back and forth: the revisited states must not
         // grow the memo.
-        let job = spec.jobs[0].id;
-        let original = inc.assignment(job).unwrap();
+        let original = inc.assignments()[0];
         let mut undo = Vec::new();
         for _ in 0..8 {
             inc.apply(
                 &[(
-                    job,
+                    0,
                     Assignment {
                         tier: Tier::PersHdd,
                         overprov: 2.0,
                     },
                 )],
                 &mut undo,
-            );
+            )
+            .unwrap();
             inc.score().unwrap();
             inc.restore(&undo);
             inc.score().unwrap();
         }
-        assert_eq!(inc.assignment(job), Some(original));
+        assert_eq!(inc.assignments()[0], original);
         let grown = inc.memo_len() - after_first;
         // One new (tier, capacity) point per affected tier on the first
         // toggle; every later toggle hits the cache.

@@ -5,6 +5,15 @@
 //! along a geometric grid. When reuse groups are active (CAST++), a tier
 //! flip applies to the whole group so Eq. 7 stays satisfied by
 //! construction.
+//!
+//! Proposals name jobs by *position*: the index of the job in the list
+//! the generator was built over. [`NeighborGen::new`] resolves each
+//! position's reuse group to positions once per solve, so a proposal
+//! touches no `JobId` map; callers holding assignments in that same order
+//! (the annealer's incremental state, in spec order) index them directly,
+//! and [`NeighborGen::job_at`] maps a position back to its job.
+
+use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -12,7 +21,7 @@ use rand::Rng;
 use cast_cloud::tier::Tier;
 use cast_workload::job::JobId;
 
-use crate::plan::{Assignment, TieringPlan};
+use crate::plan::Assignment;
 
 /// Over-provisioning grid explored by the solver. Factor 1 = exact fit
 /// (Eq. 3 floor); larger factors buy bandwidth on capacity-scaled tiers.
@@ -21,51 +30,67 @@ pub const OVERPROV_GRID: [f64; 5] = [1.0, 2.0, 4.0, 8.0, 16.0];
 /// Generates neighbours of the current plan.
 #[derive(Debug, Clone)]
 pub struct NeighborGen {
-    /// Jobs that may be mutated, in mutation order.
+    /// Jobs that may be mutated, in mutation order. A job's index here is
+    /// its position in every proposal.
     jobs: Vec<JobId>,
-    /// Reuse groups: mutating any member re-tiers the whole group.
-    groups: Vec<Vec<JobId>>,
+    /// Reuse groups as positions, each in group order.
+    cohorts: Vec<Vec<usize>>,
+    /// Per position, the index into `cohorts` of its reuse group (the
+    /// first group listing it), or `None` when it moves alone.
+    cohort_of: Vec<Option<usize>>,
 }
 
 impl NeighborGen {
     /// Build a generator over `jobs`; `groups` lists reuse groups (may be
-    /// empty when reuse awareness is off).
+    /// empty when reuse awareness is off). Group members that are not in
+    /// `jobs` are never mutated.
     pub fn new(jobs: Vec<JobId>, groups: Vec<Vec<JobId>>) -> NeighborGen {
-        NeighborGen { jobs, groups }
+        let mut cohort_of = vec![None; jobs.len()];
+        let mut cohorts = Vec::with_capacity(groups.len());
+        if !groups.is_empty() {
+            let position: HashMap<JobId, usize> =
+                jobs.iter().enumerate().map(|(i, &j)| (j, i)).collect();
+            for group in &groups {
+                let members: Vec<usize> = group
+                    .iter()
+                    .filter_map(|j| position.get(j).copied())
+                    .collect();
+                for &m in &members {
+                    cohort_of[m].get_or_insert(cohorts.len());
+                }
+                cohorts.push(members);
+            }
+        }
+        NeighborGen {
+            jobs,
+            cohorts,
+            cohort_of,
+        }
     }
 
-    /// The jobs a mutation of the job at `idx` must also touch (its reuse
-    /// group, or just itself).
-    fn cohort(&self, idx: usize) -> &[JobId] {
-        let job = self.jobs[idx];
-        self.groups
-            .iter()
-            .find(|g| g.contains(&job))
-            .map(|g| g.as_slice())
-            .unwrap_or(std::slice::from_ref(&self.jobs[idx]))
-    }
-
-    /// Propose a random move against the current assignments (queried via
-    /// `lookup`), writing the changed `(job, new assignment)` pairs into
-    /// `out` — the allocation-free core of [`NeighborGen::neighbor`]. The
-    /// job mutated is the one at `cursor` (CAST++'s DFS traversal) or a
-    /// random one when `cursor` is `None`. Consumes exactly the RNG draws
-    /// `neighbor` does, so move-based and plan-based searches share one
-    /// trajectory per seed.
+    /// Propose a random move against the current assignments (queried by
+    /// position via `lookup`), writing the changed `(position, new
+    /// assignment)` pairs into `out`. The job mutated is the one at
+    /// `cursor` (CAST++'s DFS traversal) or a random one when `cursor` is
+    /// `None`.
+    ///
+    /// `out` is left empty when the move changes nothing: a capacity
+    /// nudge past either end of [`OVERPROV_GRID`] proposes the current
+    /// assignment. The draws are the same either way, so callers score
+    /// such a move as the current plan without re-evaluating it.
     pub fn propose(
         &self,
-        lookup: impl Fn(JobId) -> Option<Assignment>,
+        lookup: impl Fn(usize) -> Option<Assignment>,
         rng: &mut StdRng,
         cursor: Option<usize>,
-        out: &mut Vec<(JobId, Assignment)>,
+        out: &mut Vec<(usize, Assignment)>,
     ) {
         out.clear();
         if self.jobs.is_empty() {
             return;
         }
         let idx = cursor.unwrap_or_else(|| rng.gen_range(0..self.jobs.len())) % self.jobs.len();
-        let job = self.jobs[idx];
-        let Some(current) = lookup(job) else {
+        let Some(current) = lookup(idx) else {
             return;
         };
         // Half the moves flip the tier (jointly drawing a fresh capacity
@@ -82,7 +107,11 @@ impl NeighborGen {
                 .nth(n)
                 .expect("three non-current tiers");
             let overprov = OVERPROV_GRID[rng.gen_range(0..OVERPROV_GRID.len())];
-            for &member in self.cohort(idx) {
+            let cohort = match self.cohort_of[idx] {
+                Some(c) => self.cohorts[c].as_slice(),
+                None => std::slice::from_ref(&idx),
+            };
+            for &member in cohort {
                 if lookup(member).is_some() {
                     out.push((member, Assignment { tier, overprov }));
                 }
@@ -97,32 +126,23 @@ impl NeighborGen {
             } else {
                 pos.saturating_sub(1)
             };
-            out.push((
-                job,
-                Assignment {
-                    tier: current.tier,
-                    overprov: OVERPROV_GRID[next_pos],
-                },
-            ));
+            let next = Assignment {
+                tier: current.tier,
+                overprov: OVERPROV_GRID[next_pos],
+            };
+            if next != current {
+                out.push((idx, next));
+            }
         }
     }
 
-    /// Produce a random neighbour of `plan`, mutating the job at
-    /// `cursor` (used by CAST++'s DFS traversal) or a random job when
-    /// `cursor` is `None`.
-    pub fn neighbor(
-        &self,
-        plan: &TieringPlan,
-        rng: &mut StdRng,
-        cursor: Option<usize>,
-    ) -> TieringPlan {
-        let mut next = plan.clone();
-        let mut changes = Vec::new();
-        self.propose(|j| plan.get(j), rng, cursor, &mut changes);
-        for (job, a) in changes {
-            next.assign(job, a);
-        }
-        next
+    /// The job at `position`.
+    ///
+    /// # Panics
+    ///
+    /// If `position >= self.len()`.
+    pub fn job_at(&self, position: usize) -> JobId {
+        self.jobs[position]
     }
 
     /// Number of mutable jobs.
@@ -139,6 +159,7 @@ impl NeighborGen {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::TieringPlan;
     use rand::SeedableRng;
 
     fn plan(jobs: &[u32]) -> TieringPlan {
@@ -149,13 +170,29 @@ mod tests {
         p
     }
 
+    /// `plan` with one proposal applied.
+    fn step(
+        gen: &NeighborGen,
+        plan: &TieringPlan,
+        rng: &mut StdRng,
+        cursor: Option<usize>,
+    ) -> TieringPlan {
+        let mut changes = Vec::new();
+        gen.propose(|i| plan.get(gen.job_at(i)), rng, cursor, &mut changes);
+        let mut next = plan.clone();
+        for (i, a) in changes {
+            next.assign(gen.job_at(i), a);
+        }
+        next
+    }
+
     #[test]
     fn neighbor_differs_in_exactly_one_cohort() {
         let gen = NeighborGen::new(vec![JobId(0), JobId(1), JobId(2)], vec![]);
         let p = plan(&[0, 1, 2]);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..50 {
-            let n = gen.neighbor(&p, &mut rng, None);
+            let n = step(&gen, &p, &mut rng, None);
             let changed: Vec<JobId> = p
                 .iter()
                 .filter(|&(j, a)| n.get(j) != Some(a))
@@ -174,11 +211,42 @@ mod tests {
         let p = plan(&[0, 1, 2]);
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..100 {
-            let n = gen.neighbor(&p, &mut rng, None);
+            let n = step(&gen, &p, &mut rng, None);
             let t0 = n.get(JobId(0)).unwrap().tier;
             let t1 = n.get(JobId(1)).unwrap().tier;
             assert_eq!(t0, t1, "reuse group must stay on one tier");
         }
+    }
+
+    #[test]
+    fn cohorts_are_positions_in_group_order() {
+        // Jobs listed out of id order: a group names ids, a proposal
+        // names positions, and a tier flip emits the whole group in group
+        // order whichever member was drawn.
+        let gen = NeighborGen::new(
+            vec![JobId(5), JobId(3), JobId(9)],
+            vec![vec![JobId(3), JobId(9)]],
+        );
+        let p = plan(&[3, 5, 9]);
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut out = Vec::new();
+        let mut flips = 0;
+        for _ in 0..200 {
+            gen.propose(|i| p.get(gen.job_at(i)), &mut rng, None, &mut out);
+            let tier_flip = out
+                .iter()
+                .any(|&(i, a)| a.tier != p.get(gen.job_at(i)).unwrap().tier);
+            if !tier_flip {
+                continue;
+            }
+            flips += 1;
+            let positions: Vec<usize> = out.iter().map(|&(i, _)| i).collect();
+            assert!(
+                positions == [0] || positions == [1, 2],
+                "cohort {positions:?}"
+            );
+        }
+        assert!(flips > 0);
     }
 
     #[test]
@@ -187,9 +255,41 @@ mod tests {
         let mut p = plan(&[0]);
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..200 {
-            p = gen.neighbor(&p, &mut rng, None);
+            p = step(&gen, &p, &mut rng, None);
             let f = p.get(JobId(0)).unwrap().overprov;
             assert!(OVERPROV_GRID.contains(&f), "off-grid factor {f}");
+        }
+    }
+
+    #[test]
+    fn nudges_past_the_grid_ends_propose_nothing() {
+        // Every proposal either changes the drawn job or is a nudge that
+        // would leave it where it is, which only happens at a grid end.
+        let gen = NeighborGen::new(vec![JobId(0)], vec![]);
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut out = Vec::new();
+        for (i, &f) in OVERPROV_GRID.iter().enumerate() {
+            let current = Assignment {
+                tier: Tier::PersHdd,
+                overprov: f,
+            };
+            let (mut empty, mut nudged) = (0, 0);
+            for _ in 0..200 {
+                gen.propose(|_| Some(current), &mut rng, None, &mut out);
+                match out.as_slice() {
+                    [] => empty += 1,
+                    [(0, a)] if a.tier == current.tier => {
+                        nudged += 1;
+                        let to = OVERPROV_GRID.iter().position(|&g| g == a.overprov).unwrap();
+                        assert_eq!(to.abs_diff(i), 1, "nudge {f} -> {}", a.overprov);
+                    }
+                    [(0, a)] => assert_ne!(a.tier, current.tier),
+                    other => panic!("one-job proposal expected, got {other:?}"),
+                }
+            }
+            let at_end = i == 0 || i == OVERPROV_GRID.len() - 1;
+            assert_eq!(empty > 0, at_end, "factor {f}: {empty} empty proposals");
+            assert!(nudged > 0, "factor {f} never nudged");
         }
     }
 
@@ -199,17 +299,17 @@ mod tests {
         let p = plan(&[0, 1]);
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..50 {
-            let n = gen.neighbor(&p, &mut rng, Some(1));
+            let n = step(&gen, &p, &mut rng, Some(1));
             // Only job 1 may change.
             assert_eq!(n.get(JobId(0)), p.get(JobId(0)));
         }
     }
 
     #[test]
-    fn empty_generator_returns_clone() {
+    fn empty_generator_proposes_nothing() {
         let gen = NeighborGen::new(vec![], vec![]);
         let p = plan(&[0]);
         let mut rng = StdRng::seed_from_u64(5);
-        assert_eq!(gen.neighbor(&p, &mut rng, None), p);
+        assert_eq!(step(&gen, &p, &mut rng, None), p);
     }
 }

@@ -8,6 +8,7 @@ use cast_cloud::Catalog;
 use cast_estimator::model::{CapacityCurve, ModelMatrix, PhaseBw};
 use cast_estimator::mrcute::ClusterSpec;
 use cast_estimator::Estimator;
+use cast_solver::neighbor::NeighborGen;
 use cast_solver::{
     evaluate, greedy_plan, restart_seed, AnnealConfig, Annealer, Assignment, EvalContext,
     GreedyMode, IncrementalEval, TieringPlan,
@@ -216,9 +217,8 @@ proptest! {
         let mut state = IncrementalEval::new(&ctx, &init).expect("state");
         let mut undo = Vec::new();
         for (job_idx, tier_idx, overprov, do_undo) in moves {
-            let job = spec.jobs[job_idx % spec.jobs.len()].id;
-            let change = (job, Assignment { tier: Tier::ALL[tier_idx], overprov });
-            state.apply(std::slice::from_ref(&change), &mut undo);
+            let change = (job_idx % spec.jobs.len(), Assignment { tier: Tier::ALL[tier_idx], overprov });
+            state.apply(std::slice::from_ref(&change), &mut undo).expect("valid change");
             let fast = state.score().expect("incremental score");
             let oracle = evaluate(&state.to_plan(), &ctx).expect("oracle").utility;
             prop_assert_eq!(fast.to_bits(), oracle.to_bits());
@@ -228,6 +228,54 @@ proptest! {
                 let oracle = evaluate(&state.to_plan(), &ctx).expect("oracle").utility;
                 prop_assert_eq!(fast.to_bits(), oracle.to_bits());
             }
+        }
+    }
+
+    /// The incremental chain (`Annealer::solve`) and the plan chain
+    /// (`solve_with` scoring every neighbour through the `evaluate`
+    /// oracle) make the same decisions on generated inputs, reuse groups
+    /// and skipped no-op proposals included: same plan, bit-identical
+    /// score, same acceptance counts. Under reuse awareness every group
+    /// ends on one tier, since each tier flip moves the whole group.
+    #[test]
+    fn incremental_and_plan_chains_agree(
+        spec in arb_reuse_spec(),
+        reuse_aware in 0usize..2,
+        tier in prop::sample::select(Tier::ALL.to_vec()),
+        seed in 0u64..1_000_000,
+        iterations in 50usize..801,
+    ) {
+        let est = toy_estimator(4);
+        let ctx = if reuse_aware == 1 {
+            EvalContext::new(&est, &spec).with_reuse_awareness()
+        } else {
+            EvalContext::new(&est, &spec)
+        };
+        let groups: Vec<Vec<JobId>> = if reuse_aware == 1 {
+            spec.reuse_groups().into_iter().map(|(_, jobs)| jobs).collect()
+        } else {
+            Vec::new()
+        };
+        let gen = NeighborGen::new(spec.jobs.iter().map(|j| j.id).collect(), groups.clone());
+        let init = TieringPlan::uniform(&spec, tier);
+        let cfg = AnnealConfig { iterations, seed, ..AnnealConfig::default() };
+        let fast = Annealer::new(cfg).solve(&ctx, init.clone()).expect("incremental chain");
+        let slow = Annealer::new(cfg)
+            .solve_with(init, &gen, |p| evaluate(p, &ctx).map(|e| e.utility), None)
+            .expect("plan chain");
+        prop_assert_eq!(&fast.plan, &slow.plan);
+        prop_assert_eq!(fast.eval.utility.to_bits(), slow.score.to_bits());
+        prop_assert_eq!(fast.diagnostics.accepted, slow.diagnostics.accepted);
+        prop_assert_eq!(
+            fast.diagnostics.uphill_accepted,
+            slow.diagnostics.uphill_accepted
+        );
+        for group in &groups {
+            let tiers: Vec<Tier> = group
+                .iter()
+                .map(|&j| fast.plan.get(j).expect("assigned").tier)
+                .collect();
+            prop_assert!(tiers.windows(2).all(|w| w[0] == w[1]), "split group {:?}", tiers);
         }
     }
 }
