@@ -298,10 +298,9 @@ fn run_online_drift() -> Section {
          4-hour stream; this section uses the CI-sized `--smoke` configuration.\n",
         (periodic_cost / static_cost - 1.0) * 100.0,
     );
-    Section {
-        md,
-        json: vec![("online_drift", json)],
-    }
+    // The smoke run's JSON is not saved: `results/online_drift.json` is
+    // the full-size run's output.
+    Section { md, json: vec![] }
 }
 
 fn run_durability_sweep() -> Section {
@@ -329,10 +328,9 @@ fn run_durability_sweep() -> Section {
          the CI-sized `--smoke` configuration.\n",
         reduction * 100.0,
     );
-    Section {
-        md,
-        json: vec![("durability_sweep", json)],
-    }
+    // The smoke run's JSON is not saved: `results/durability_sweep.json`
+    // is the full-size run's output.
+    Section { md, json: vec![] }
 }
 
 /// A numeric field of a committed BENCH report (NaN when absent).

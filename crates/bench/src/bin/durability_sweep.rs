@@ -6,14 +6,16 @@
 //! ```
 //!
 //! `--smoke` runs the CI-sized configuration (shorter stream, fewer
-//! fault rates) that still reproduces both headline claims.
+//! fault rates) that still reproduces both headline claims. Only a full
+//! run saves `results/durability_sweep.json`.
 
 use cast_bench::experiments::durability_sweep;
 use cast_bench::ExperimentIo;
 
 fn main() {
     let io = ExperimentIo::from_args("durability_sweep");
-    let cfg = if io.flag("--smoke") {
+    let smoke = io.flag("--smoke");
+    let cfg = if smoke {
         durability_sweep::DurabilitySweepConfig::smoke()
     } else {
         durability_sweep::DurabilitySweepConfig::full()
@@ -30,6 +32,8 @@ fn main() {
         "rs(4+2) vs rep(3) cold-tier storage bill: {:.1} % cheaper at equal fault tolerance",
         reduction * 100.0
     );
-    io.save_json("durability_sweep", &json);
+    if !smoke {
+        io.save_json("durability_sweep", &json);
+    }
     io.finish();
 }

@@ -6,14 +6,16 @@
 //! ```
 //!
 //! `--smoke` runs the CI-sized configuration (shorter stream, smaller
-//! jobs, shorter solves) that still reproduces both headline claims.
+//! jobs, shorter solves) that still reproduces both headline claims. Only
+//! a full run saves `results/online_drift.json`.
 
 use cast_bench::experiments::online_drift;
 use cast_bench::ExperimentIo;
 
 fn main() {
     let io = ExperimentIo::from_args("online_drift");
-    let cfg = if io.flag("--smoke") {
+    let smoke = io.flag("--smoke");
+    let cfg = if smoke {
         online_drift::OnlineDriftConfig::smoke()
     } else {
         online_drift::OnlineDriftConfig::full()
@@ -31,7 +33,9 @@ fn main() {
         "hysteresis vs periodic migration volume: {hysteresis_mb:.0} vs {periodic_mb:.0} MB \
          ({hyst_adopt} vs {periodic_adopt} adoptions)"
     );
-    io.save_json("online_drift", &json);
+    if !smoke {
+        io.save_json("online_drift", &json);
+    }
 
     io.finish();
     assert!(

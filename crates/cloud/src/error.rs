@@ -16,8 +16,6 @@ pub enum CloudError {
         /// Human-readable rule that was violated.
         rule: &'static str,
     },
-    /// A VM type name was not found in the price sheet.
-    UnknownVmType(String),
     /// An attachment limit (e.g. 4 ephemeral volumes per VM) was exceeded.
     AttachmentLimit {
         /// Tier of the volumes being attached.
@@ -45,7 +43,6 @@ impl fmt::Display for CloudError {
                 f,
                 "invalid capacity {requested_gb} GB for tier {tier}: {rule}"
             ),
-            CloudError::UnknownVmType(name) => write!(f, "unknown VM type {name:?}"),
             CloudError::AttachmentLimit {
                 tier,
                 requested,

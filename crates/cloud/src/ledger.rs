@@ -156,11 +156,6 @@ impl CapacityLedger {
         }
     }
 
-    /// Release everything — the end-of-epoch reset.
-    pub fn release_all(&mut self) {
-        self.committed = PerTier::from_fn(|_| DataSize::ZERO);
-    }
-
     /// Peak utilization across tiers, in `[0, 1]` (0 when nothing is
     /// provisioned).
     pub fn utilization(&self) -> f64 {
@@ -273,7 +268,7 @@ mod tests {
         assert!(!ledger.commit(&uniform(1.0)));
         ledger.release(&uniform(60.0));
         assert!(ledger.commit(&uniform(60.0)));
-        ledger.release_all();
+        ledger.release(&uniform(100.0));
         assert_eq!(ledger.available(), uniform(100.0));
         assert_eq!(ledger.utilization(), 0.0);
     }

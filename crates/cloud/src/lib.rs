@@ -43,7 +43,7 @@ pub use cost::{CostBreakdown, CostModel};
 pub use error::CloudError;
 pub use ledger::{weighted_max_min, CapacityLedger, ShareRequest};
 pub use pricing::PriceSheet;
-pub use provision::{ProvisionPlan, Provisioner, VolumeSpec};
+pub use provision::{ProvisionPlan, Provisioner};
 pub use redundancy::RedundancyScheme;
 pub use service::StorageService;
 pub use tier::Tier;

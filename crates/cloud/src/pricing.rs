@@ -7,10 +7,8 @@
 use serde::{Deserialize, Serialize};
 
 use crate::catalog::Catalog;
-use crate::error::CloudError;
 use crate::tier::{PerTier, Tier};
 use crate::units::{DataSize, Money};
-use crate::vm::VmType;
 
 /// Snapshot of the prices the optimizer needs, decoupled from the richer
 /// catalog so solver code stays allocation-free in its inner loop.
@@ -48,15 +46,6 @@ impl PriceSheet {
     #[inline]
     pub fn storage_hourly(&self, tier: Tier, capacity: DataSize) -> Money {
         *self.storage_per_gb_hour.get(tier) * (capacity.gb() * self.redundancy_factor.get(tier))
-    }
-
-    /// Look up a VM type by name among the known shapes.
-    pub fn lookup_vm(name: &str) -> Result<VmType, CloudError> {
-        match name {
-            "n1-standard-16" => Ok(VmType::n1_standard_16()),
-            "n1-standard-4" => Ok(VmType::n1_standard_4()),
-            other => Err(CloudError::UnknownVmType(other.to_string())),
-        }
     }
 }
 
@@ -126,11 +115,5 @@ mod tests {
         // replicated bill — comfortably past the 40% reduction target.
         let reduction = 1.0 - ec_cost / rep_cost;
         assert!(reduction >= 0.40, "reduction {reduction}");
-    }
-
-    #[test]
-    fn vm_lookup() {
-        assert!(PriceSheet::lookup_vm("n1-standard-16").is_ok());
-        assert!(PriceSheet::lookup_vm("m5.24xlarge").is_err());
     }
 }

@@ -15,16 +15,6 @@ use crate::error::CloudError;
 use crate::tier::{PerTier, Tier};
 use crate::units::{Bandwidth, DataSize};
 
-/// One tier's worth of storage attached to a single VM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct VolumeSpec {
-    /// The tier of the attached storage.
-    pub tier: Tier,
-    /// Provisioned capacity on this VM (already rounded to volume
-    /// granularity where applicable).
-    pub capacity: DataSize,
-}
-
 /// A fully-resolved storage layout for a homogeneous cluster: every worker
 /// VM carries the same volume set.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

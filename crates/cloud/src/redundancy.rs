@@ -65,12 +65,6 @@ impl RedundancyScheme {
         }
     }
 
-    /// Storage overhead beyond the logical bytes, as a percentage
-    /// (3× replication → 200, 4+2 → 50).
-    pub fn overhead_pct(self) -> f64 {
-        (self.storage_factor() - 1.0) * 100.0
-    }
-
     /// Total shards (replicas or stripe fragments) holding one dataset.
     pub fn shard_count(self) -> u32 {
         match self {
@@ -130,14 +124,6 @@ impl fmt::Display for RedundancyScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn overheads_match_reference_numbers() {
-        // 3× replication: 200 % overhead; RS 4+2: 50 %.
-        assert_eq!(RedundancyScheme::TRIPLE.overhead_pct(), 200.0);
-        assert_eq!(RedundancyScheme::RS_4_2.overhead_pct(), 50.0);
-        assert_eq!(RedundancyScheme::NONE.overhead_pct(), 0.0);
-    }
 
     #[test]
     fn equal_tolerance_at_half_the_raw_bytes() {

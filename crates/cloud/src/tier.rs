@@ -45,14 +45,6 @@ impl Tier {
         }
     }
 
-    /// Whether data on this tier survives VM termination.
-    ///
-    /// Ephemeral SSD data is lost with the VM, so CAST charges staging
-    /// transfers (and backing object-store capacity) to jobs placed there.
-    pub fn is_persistent(self) -> bool {
-        !matches!(self, Tier::EphSsd)
-    }
-
     /// Whether this is a block device (attached volume) rather than an
     /// object service.
     pub fn is_block(self) -> bool {
@@ -171,12 +163,6 @@ mod tests {
         assert_eq!(Tier::PersSsd.name(), "persSSD");
         assert_eq!(Tier::PersHdd.name(), "persHDD");
         assert_eq!(Tier::ObjStore.name(), "objStore");
-    }
-
-    #[test]
-    fn only_ephemeral_is_non_persistent() {
-        let non_persistent: Vec<_> = Tier::ALL.iter().filter(|t| !t.is_persistent()).collect();
-        assert_eq!(non_persistent, vec![&Tier::EphSsd]);
     }
 
     #[test]

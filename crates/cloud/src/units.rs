@@ -85,18 +85,6 @@ impl DataSize {
         DataSize(self.0.min(other.0))
     }
 
-    /// Time to move this much data at `bw`, saturating to zero for empty
-    /// transfers. Panics in debug builds if `bw` is non-positive while the
-    /// size is non-zero.
-    #[inline]
-    pub fn transfer_time(self, bw: Bandwidth) -> Duration {
-        if self.0 <= 0.0 {
-            return Duration::ZERO;
-        }
-        debug_assert!(bw.mb_per_sec() > 0.0, "transfer over zero bandwidth");
-        Duration::from_secs(self.mb() / bw.mb_per_sec())
-    }
-
     /// Scale by a dimensionless factor (e.g. a selectivity ratio).
     #[inline]
     pub fn scale(self, factor: f64) -> DataSize {
@@ -517,19 +505,6 @@ mod tests {
         assert!((a / b - 2.5).abs() < 1e-12);
         let total: DataSize = [a, b].into_iter().sum();
         assert!((total.gb() - 14.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn transfer_time_matches_hand_calc() {
-        // 1 GB at 100 MB/s = 10 seconds.
-        let t = DataSize::from_gb(1.0).transfer_time(Bandwidth::from_mbps(100.0));
-        assert!((t.secs() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn transfer_time_of_zero_bytes_is_zero_even_at_zero_bandwidth() {
-        let t = DataSize::ZERO.transfer_time(Bandwidth::ZERO);
-        assert_eq!(t, Duration::ZERO);
     }
 
     #[test]

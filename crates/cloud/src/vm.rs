@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::units::{Bandwidth, Duration, Money};
+use crate::units::{Bandwidth, Money};
 
 /// A virtual machine shape with its price and the resources the MapReduce
 /// runtime carves out of it.
@@ -59,12 +59,6 @@ impl VmType {
         }
     }
 
-    /// Price for running this VM for `t`, billed per minute (Eq. 5 charges
-    /// `price_vm · T` with `T` in minutes).
-    pub fn cost_for(&self, t: Duration) -> Money {
-        self.price_per_hour * t.hours()
-    }
-
     /// Per-minute price, the `price_vm` of Table 3.
     pub fn price_per_minute(&self) -> Money {
         self.price_per_hour * (1.0 / 60.0)
@@ -82,15 +76,6 @@ mod tests {
         assert_eq!(vm.map_slots, 16);
         assert_eq!(vm.reduce_slots, 8);
         assert!((vm.nic.mb_per_sec() - 2000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cost_scales_linearly_with_time() {
-        let vm = VmType::n1_standard_16();
-        let one_hour = vm.cost_for(Duration::from_hours(1.0));
-        let two_hours = vm.cost_for(Duration::from_hours(2.0));
-        assert!((two_hours.dollars() - 2.0 * one_hour.dollars()).abs() < 1e-12);
-        assert!((one_hour.dollars() - 0.80).abs() < 1e-12);
     }
 
     #[test]

@@ -39,6 +39,6 @@ pub use cast_workload::{
 pub use cast_runtime::{AdmissionPolicy, OnlineReport, OnlineRuntime, ReplanPolicy, RuntimeConfig};
 
 // Observability: attach a recording `Collector` via the `Observe` trait
-// (`X::new(..).observe(collector)` at every layer), then drain its trace
-// into a `TraceSink` and snapshot its metrics.
-pub use cast_obs::{Collector, MetricsSnapshot, Observe, TraceSink};
+// (`X::new(..).observe(collector)` at every layer), then read its events
+// (`cast_obs::to_ndjson` writes them as a trace) and snapshot its metrics.
+pub use cast_obs::{Collector, MetricsSnapshot, Observe};

@@ -45,11 +45,6 @@ impl ClusterSpec {
         m.div_ceil(self.nvm * self.map_slots)
     }
 
-    /// Number of reduce waves for `r` reduce tasks: `⌈r / (nvm·rc)⌉`.
-    pub fn reduce_waves(&self, r: usize) -> usize {
-        r.div_ceil(self.nvm * self.reduce_slots)
-    }
-
     /// Continuous relaxation of the map wave count, floored at one wave.
     ///
     /// Eq. 1 uses `⌈·⌉`; a partially-filled trailing wave both finishes
@@ -226,8 +221,6 @@ mod tests {
         assert_eq!(c.map_waves(400), 1);
         assert_eq!(c.map_waves(401), 2);
         assert_eq!(c.map_waves(1), 1);
-        assert_eq!(c.reduce_waves(200), 1);
-        assert_eq!(c.reduce_waves(201), 2);
     }
 
     #[test]

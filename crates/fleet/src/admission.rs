@@ -269,7 +269,7 @@ mod tests {
         // 10 GB pool, 100 GB ask → frac 0.1 < min_grant 0.25.
         let fresh = admit_epoch(&mut ledger, &cfg, &[req(0, 0, 1.0, 100.0, 0)]);
         assert_eq!(fresh[0], Admission::Deferred);
-        ledger.release_all();
+        let mut ledger = CapacityLedger::new(uniform(10.0));
         let exhausted = admit_epoch(&mut ledger, &cfg, &[req(0, 0, 1.0, 100.0, 2)]);
         assert_eq!(exhausted[0], Admission::Rejected);
     }

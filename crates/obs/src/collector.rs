@@ -5,7 +5,6 @@ use std::sync::{Arc, Mutex};
 
 use crate::event::{EventBody, TraceEvent};
 use crate::metrics::{lock, Counter, Gauge, Histogram, MetricsSnapshot, Registry};
-use crate::sink::TraceSink;
 
 struct Inner {
     registry: Registry,
@@ -123,13 +122,5 @@ impl Collector {
         self.inner
             .as_ref()
             .map_or_else(Default::default, |i| i.registry.snapshot())
-    }
-
-    /// Stream every recorded event into `sink` in emission order.
-    pub fn drain_to(&self, sink: &mut dyn TraceSink) -> std::io::Result<()> {
-        for event in self.events() {
-            sink.record(&event)?;
-        }
-        Ok(())
     }
 }

@@ -17,8 +17,8 @@
 //!    order; wall-clock-derived metrics are quarantined behind a `.wall`
 //!    name suffix ([`MetricsSnapshot::without_wall`]).
 //! 3. **Plain-text durable.** Traces serialize as newline-delimited JSON —
-//!    one [`TraceEvent`] per line — and parse back losslessly
-//!    ([`sink::parse_ndjson`]).
+//!    one [`TraceEvent`] per line ([`to_ndjson`]) — and parse back
+//!    losslessly ([`parse_ndjson`]).
 //!
 //! The span taxonomy follows the two worlds being observed:
 //!
@@ -39,7 +39,7 @@ pub use collector::Collector;
 pub use event::{EventBody, TraceEvent};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot};
 pub use observe::Observe;
-pub use sink::{parse_ndjson, to_ndjson, NdjsonWriter, TraceSink, VecSink};
+pub use sink::{parse_ndjson, to_ndjson};
 
 #[cfg(test)]
 mod tests {
@@ -171,22 +171,5 @@ mod tests {
             EventBody::RestartStart { seed: s, .. } => assert_eq!(s as u64, seed),
             _ => panic!("wrong variant"),
         }
-    }
-
-    #[test]
-    fn ndjson_writer_sink_matches_to_ndjson() {
-        let col = Collector::recording();
-        col.emit(
-            4.0,
-            EventBody::Contention {
-                tier: "ephSSD".into(),
-                demand: 12.0,
-                capacity: 3000.0,
-            },
-        );
-        let mut sink = NdjsonWriter::new(Vec::new());
-        col.drain_to(&mut sink).unwrap();
-        let bytes = sink.into_inner().unwrap();
-        assert_eq!(String::from_utf8(bytes).unwrap(), to_ndjson(&col.events()));
     }
 }

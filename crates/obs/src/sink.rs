@@ -1,83 +1,9 @@
-//! Trace drains: where recorded events go when a run finishes.
-//!
-//! The on-disk format is newline-delimited JSON (NDJSON): one
+//! The trace file format: newline-delimited JSON (NDJSON), one
 //! [`TraceEvent`] per line, in emission order. The format round-trips
 //! exactly through the vendored serde shim ([`parse_ndjson`] recovers the
-//! same events that were written).
-
-use std::io::{self, Write};
+//! same events [`to_ndjson`] wrote).
 
 use crate::event::TraceEvent;
-
-/// A destination for trace events.
-pub trait TraceSink {
-    /// Record one event. Called in emission order.
-    fn record(&mut self, event: &TraceEvent) -> io::Result<()>;
-}
-
-/// A [`TraceSink`] writing one JSON object per line to any [`Write`].
-///
-/// The writer flushes on drop, so a trace dump is complete even when the
-/// sink just goes out of scope. Dropping swallows flush errors (drops
-/// can't fail); call [`NdjsonWriter::finish`] or
-/// [`NdjsonWriter::into_inner`] to observe them.
-pub struct NdjsonWriter<W: Write> {
-    out: Option<W>,
-}
-
-impl<W: Write> NdjsonWriter<W> {
-    /// Wrap a writer.
-    pub fn new(out: W) -> Self {
-        NdjsonWriter { out: Some(out) }
-    }
-
-    /// Flush buffered output, keeping the sink usable.
-    pub fn finish(&mut self) -> io::Result<()> {
-        match self.out.as_mut() {
-            Some(out) => out.flush(),
-            None => Ok(()),
-        }
-    }
-
-    /// Flush and return the inner writer.
-    pub fn into_inner(mut self) -> io::Result<W> {
-        let mut out = self.out.take().expect("writer only taken here");
-        out.flush()?;
-        Ok(out)
-    }
-}
-
-impl<W: Write> TraceSink for NdjsonWriter<W> {
-    fn record(&mut self, event: &TraceEvent) -> io::Result<()> {
-        let line = serde_json::to_string(event).map_err(io::Error::other)?;
-        writeln!(
-            self.out.as_mut().expect("writer present until into_inner"),
-            "{line}"
-        )
-    }
-}
-
-impl<W: Write> Drop for NdjsonWriter<W> {
-    fn drop(&mut self) {
-        if let Some(out) = self.out.as_mut() {
-            let _ = out.flush();
-        }
-    }
-}
-
-/// An in-memory [`TraceSink`] that keeps owned copies of every event.
-#[derive(Default)]
-pub struct VecSink {
-    /// Events recorded so far, in emission order.
-    pub events: Vec<TraceEvent>,
-}
-
-impl TraceSink for VecSink {
-    fn record(&mut self, event: &TraceEvent) -> io::Result<()> {
-        self.events.push(event.clone());
-        Ok(())
-    }
-}
 
 /// Serialize `events` as NDJSON into a string.
 pub fn to_ndjson(events: &[TraceEvent]) -> String {
@@ -95,72 +21,4 @@ pub fn parse_ndjson(text: &str) -> Result<Vec<TraceEvent>, String> {
         .filter(|line| !line.trim().is_empty())
         .map(|line| serde_json::from_str::<TraceEvent>(line).map_err(|e| e.to_string()))
         .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::event::EventBody;
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    /// A writer that only exposes written bytes after a flush, like a
-    /// `BufWriter` over a file does.
-    struct Buffered {
-        pending: Vec<u8>,
-        flushed: Rc<RefCell<Vec<u8>>>,
-    }
-
-    impl Write for Buffered {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.pending.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            self.flushed.borrow_mut().append(&mut self.pending);
-            Ok(())
-        }
-    }
-
-    fn event() -> TraceEvent {
-        TraceEvent {
-            seq: 0,
-            t: 1.0,
-            body: EventBody::JobStart {
-                job: 7,
-                name: "job7".into(),
-            },
-        }
-    }
-
-    #[test]
-    fn drop_flushes_buffered_lines() {
-        let flushed = Rc::new(RefCell::new(Vec::new()));
-        let mut sink = NdjsonWriter::new(Buffered {
-            pending: Vec::new(),
-            flushed: Rc::clone(&flushed),
-        });
-        sink.record(&event()).unwrap();
-        assert!(flushed.borrow().is_empty(), "nothing flushed yet");
-        drop(sink);
-        let text = String::from_utf8(flushed.borrow().clone()).unwrap();
-        assert_eq!(parse_ndjson(&text).unwrap(), vec![event()]);
-    }
-
-    #[test]
-    fn finish_flushes_and_keeps_the_sink_usable() {
-        let flushed = Rc::new(RefCell::new(Vec::new()));
-        let mut sink = NdjsonWriter::new(Buffered {
-            pending: Vec::new(),
-            flushed: Rc::clone(&flushed),
-        });
-        sink.record(&event()).unwrap();
-        sink.finish().unwrap();
-        assert!(!flushed.borrow().is_empty(), "finish must flush");
-        sink.record(&event()).unwrap();
-        let out = sink.into_inner().unwrap();
-        assert!(out.pending.is_empty(), "into_inner flushed the rest");
-        let text = String::from_utf8(flushed.borrow().clone()).unwrap();
-        assert_eq!(parse_ndjson(&text).unwrap().len(), 2);
-    }
 }

@@ -34,9 +34,7 @@ use cast_obs::{Collector, EventBody, Observe};
 use cast_sim::config::Concurrency;
 use cast_sim::{prepare_runs, Engine, EngineScratch, SimConfig};
 use cast_solver::objective::provision_round;
-use cast_solver::{
-    class_signature, evaluate, AnnealConfig, Annealer, Assignment, EvalContext, TieringPlan,
-};
+use cast_solver::{evaluate, AnnealConfig, Annealer, Assignment, EvalContext, TieringPlan};
 use cast_workload::arrival::assemble_spec;
 use cast_workload::{
     splitmix64, AppKind, Arrival, ArrivalStream, DatasetId, Job, ProfileSet, WorkloadSpec,
@@ -108,6 +106,51 @@ pub struct SolveInputs {
     init: Vec<Assignment>,
     /// Whether the solve warm-starts (`resume_from`) or runs cold.
     warm: bool,
+}
+
+impl SolveInputs {
+    /// Digest these inputs and the config seed into the grouping
+    /// signature, which salted also seeds the solve. Equal inputs give
+    /// equal signatures; the reverse holds only up to collisions, so
+    /// callers confirm a match by comparing the inputs. Every plan's
+    /// solver seed comes from this fold: changing its order or any
+    /// constant changes every plan.
+    fn signature(&self, cfg_seed: u64) -> u64 {
+        // The spec side: each job's class digest and dataset rank, the
+        // sizes in rank order, then the profiles of the apps in
+        // first-use order. The leading `^ 1` is the reuse-awareness flag
+        // every session solve sets.
+        let mut h = splitmix64(0x5016_C1A5 ^ 1);
+        let mut apps: Vec<AppKind> = Vec::new();
+        for &(app, input_bits, maps, reduces, rank) in &self.jobs {
+            let mut class = splitmix64(app as u64 ^ 0xC1A5_5E5E);
+            class = splitmix64(class ^ input_bits);
+            class = splitmix64(class ^ maps as u64);
+            class = splitmix64(class ^ reduces as u64);
+            h = splitmix64(h ^ class);
+            h = splitmix64(h ^ u64::from(rank));
+            if !apps.contains(&app) {
+                apps.push(app);
+            }
+        }
+        for &size in &self.sizes {
+            h = splitmix64(h ^ size);
+        }
+        for app in apps {
+            let p = self.profiles.get(app);
+            h = splitmix64(h ^ p.map_selectivity.to_bits());
+            h = splitmix64(h ^ p.output_selectivity.to_bits());
+            h = splitmix64(h ^ p.map_rate.mb_per_sec().to_bits());
+            h = splitmix64(h ^ p.reduce_rate.mb_per_sec().to_bits());
+        }
+        // Then the config seed, the init placement and the warm flag.
+        h = splitmix64(cfg_seed ^ h);
+        for a in &self.init {
+            h = splitmix64(h ^ a.tier.index() as u64);
+            h = splitmix64(h ^ a.overprov.to_bits());
+        }
+        splitmix64(h ^ self.warm as u64)
+    }
 }
 
 /// One boundary's admitted batch, carried whole from
@@ -410,7 +453,7 @@ impl<'a> TenantSession<'a> {
         let pspec = planning_spec(&batch.spec, &self.prev_jobs);
         let init = ingest_plan(&pspec, &self.ingest_map);
         let inputs = canonical_inputs(&pspec, &init, self.solved_once)?;
-        let signature = solve_signature(self.cfg.seed, &pspec, &inputs);
+        let signature = inputs.signature(self.cfg.seed);
         let seed = splitmix64(signature ^ SOLVE_SEED_SALT);
         let pending = PendingPlan {
             batch,
@@ -897,19 +940,6 @@ fn canonical_inputs(
     })
 }
 
-/// Digest the solve inputs (and the config seed) into the grouping
-/// signature. [`class_signature`] covers the spec side — job classes,
-/// dataset ranks and sizes, profiles, reuse awareness — and the init
-/// placement + warm flag are folded on top.
-fn solve_signature(cfg_seed: u64, pspec: &WorkloadSpec, inputs: &SolveInputs) -> u64 {
-    let mut h = splitmix64(cfg_seed ^ class_signature(pspec, true));
-    for a in &inputs.init {
-        h = splitmix64(h ^ a.tier.index() as u64);
-        h = splitmix64(h ^ a.overprov.to_bits());
-    }
-    splitmix64(h ^ inputs.warm as u64)
-}
-
 /// Sorted drift-bucket keys of a batch (the shape multiset the drift
 /// gate compares across epochs).
 fn drift_keys(spec: &WorkloadSpec) -> Vec<u64> {
@@ -996,5 +1026,61 @@ fn empty_epoch(k: u32, boundary: Duration, start: Duration, rejected: usize) -> 
         start_secs: start.secs(),
         rejected,
         ..EpochReport::default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cast_workload::{Dataset, JobId};
+
+    /// A Sort and a Grep job, each on its own dataset, with job ids from
+    /// `job_base` and dataset ids from `ds_base` (dataset ranks stay put).
+    fn pspec(job_base: u32, ds_base: u32) -> WorkloadSpec {
+        let mut spec = WorkloadSpec::empty();
+        for (k, (app, gb)) in [(AppKind::Sort, 10.0), (AppKind::Grep, 40.0)]
+            .into_iter()
+            .enumerate()
+        {
+            let ds = DatasetId(ds_base + 10 * k as u32);
+            let size = DataSize::from_gb(gb);
+            spec.datasets.push(Dataset::single_use(ds, size));
+            spec.jobs.push(Job::with_default_layout(
+                JobId(job_base + k as u32),
+                app,
+                ds,
+                size,
+            ));
+        }
+        spec
+    }
+
+    fn identity(spec: &WorkloadSpec, warm: bool) -> (SolveInputs, u64) {
+        let init = ingest_plan(spec, &HashMap::new());
+        let inputs = canonical_inputs(spec, &init, warm).expect("every job assigned");
+        let signature = inputs.signature(7);
+        (inputs, signature)
+    }
+
+    #[test]
+    fn solve_identity_ignores_ids_but_sees_shape_and_warmth() {
+        let (base, base_sig) = identity(&pspec(0, 0), true);
+        let (renumbered, renumbered_sig) = identity(&pspec(500, 40), true);
+        assert_eq!(base, renumbered);
+        assert_eq!(base_sig, renumbered_sig);
+
+        let mut other_app = pspec(0, 0);
+        other_app.jobs[0].app = AppKind::Join;
+        let mut other_size = pspec(0, 0);
+        other_size.jobs[1].input = DataSize::from_gb(41.0);
+        for spec in [other_app, other_size] {
+            let (inputs, signature) = identity(&spec, true);
+            assert_ne!(inputs, base);
+            assert_ne!(signature, base_sig);
+        }
+
+        let (cold, cold_sig) = identity(&pspec(0, 0), false);
+        assert_ne!(cold, base);
+        assert_ne!(cold_sig, base_sig);
     }
 }

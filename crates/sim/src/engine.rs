@@ -55,7 +55,8 @@
 //! policy — are kept in lockstep between the two implementations; edit
 //! them together. The two share the fault draw, report assembly and the
 //! stall and budget errors; each keeps its own time advancement, VM pick
-//! and slot counts, so the oracle checks those independently.
+//! and slot counts, so the oracle checks those independently. Only this
+//! engine emits trace events and metrics; the reference records nothing.
 //!
 //! ## Fault injection and recovery
 //!
@@ -105,26 +106,26 @@ pub(crate) const BACKUP_BIT: u64 = 1 << 63;
 /// Cap on consecutive simulated object-store request retries per stage.
 pub(crate) const MAX_OBJ_RETRIES: u32 = 16;
 /// Engine steps between tier-contention samples on a recording collector.
-pub(crate) const CONTENTION_STRIDE: u64 = 32;
+const CONTENTION_STRIDE: u64 = 32;
 
 /// Observability handles, resolved once at engine construction so the hot
 /// loop never touches the registry. With a no-op collector every operation
 /// is a single branch; none of them feed back into the simulation.
-pub(crate) struct SimObs {
-    pub(crate) col: Collector,
-    pub(crate) started: Counter,
-    pub(crate) finished: Counter,
-    pub(crate) failed: Counter,
-    pub(crate) retried: Counter,
-    pub(crate) speculated: Counter,
-    pub(crate) killed: Counter,
-    pub(crate) steps: Counter,
-    pub(crate) fault_edges: Counter,
-    pub(crate) wave_tasks: Histogram,
+struct SimObs {
+    col: Collector,
+    started: Counter,
+    finished: Counter,
+    failed: Counter,
+    retried: Counter,
+    speculated: Counter,
+    killed: Counter,
+    steps: Counter,
+    fault_edges: Counter,
+    wave_tasks: Histogram,
 }
 
 impl SimObs {
-    pub(crate) fn new(col: Collector) -> SimObs {
+    fn new(col: Collector) -> SimObs {
         SimObs {
             started: col.counter("sim.tasks.started"),
             finished: col.counter("sim.tasks.finished"),
@@ -144,7 +145,7 @@ impl SimObs {
 
     /// Count one task-lifecycle edge under `sim.tasks.*` and, on a
     /// recording collector, emit it as a `task` event at time `t`.
-    pub(crate) fn task(&self, t: f64, job: usize, vm: u32, slot: SlotKind, kind: TaskEventKind) {
+    fn task(&self, t: f64, job: usize, vm: u32, slot: SlotKind, kind: TaskEventKind) {
         let (counter, label) = match kind {
             TaskEventKind::Started => (&self.started, "started"),
             TaskEventKind::Finished => (&self.finished, "finished"),
@@ -175,7 +176,7 @@ impl SimObs {
 
 /// A task-lifecycle edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TaskEventKind {
+enum TaskEventKind {
     /// A task was dispatched onto a slot.
     Started,
     /// A task finished and released its slot.

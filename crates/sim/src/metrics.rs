@@ -85,12 +85,6 @@ impl SimReport {
         self.jobs.iter().find(|m| m.job == id)
     }
 
-    /// Sum of all job runtimes (the `T = Σ` of Eq. 4 when jobs run
-    /// sequentially).
-    pub fn total_runtime(&self) -> Duration {
-        self.jobs.iter().map(|m| m.runtime()).sum()
-    }
-
     /// Makespan per workflow: completion time of the latest member job.
     pub fn workflow_completion(&self, members: &[JobId]) -> Option<Duration> {
         let start = members
@@ -144,7 +138,6 @@ mod tests {
             makespan: Duration::from_secs(120.0),
             faults: FaultSummary::default(),
         };
-        assert!((report.total_runtime().secs() - 120.0).abs() < 1e-9);
         assert!(report.job(JobId(1)).is_some());
         assert!(report.job(JobId(9)).is_none());
     }

@@ -18,13 +18,15 @@
 //! Time advancement, the `pick_vm` scan and the per-VM slot counts here
 //! are the reference's own, so the oracle checks the event engine's
 //! completion heap, lazy advancement and slot pools independently.
-
-use cast_obs::{Collector, EventBody};
+//!
+//! The reference records nothing: it takes no collector and emits no
+//! events or metrics. The oracle compares reports and step counts, so the
+//! engine's trace emitters have no twin here to keep in step.
 
 use crate::config::{Concurrency, SimConfig, EVENT_BUDGET};
 use crate::engine::{
     budget_error, build_report, pick_vm, stage_tier, stalled_error, EngineStats, FaultEventKind,
-    FaultState, RetryEntry, SimObs, TaskEventKind, BACKUP_BIT, CONTENTION_STRIDE, EPS,
+    FaultState, RetryEntry, BACKUP_BIT, EPS,
 };
 use crate::error::SimError;
 use crate::fault::attempt_rng;
@@ -46,23 +48,12 @@ pub struct ReferenceEngine<'a> {
     clock: f64,
     dispatch_cursor: usize,
     fault: FaultState,
-    obs: SimObs,
-    steps_done: u64,
 }
 
 impl<'a> ReferenceEngine<'a> {
     /// Build an engine over prepared job runs. `jobs` must be ordered so
     /// that every dependency index is smaller than the dependent's index.
     pub fn new(cfg: &'a SimConfig, jobs: Vec<JobRun>) -> ReferenceEngine<'a> {
-        ReferenceEngine::observed(cfg, jobs, Collector::noop())
-    }
-
-    /// [`ReferenceEngine::new`] with an observability collector attached.
-    pub fn observed(
-        cfg: &'a SimConfig,
-        jobs: Vec<JobRun>,
-        collector: Collector,
-    ) -> ReferenceEngine<'a> {
         let fault = FaultState::new(cfg, jobs.len());
         ReferenceEngine {
             reg: ShareRegistry::new(cfg),
@@ -74,8 +65,6 @@ impl<'a> ReferenceEngine<'a> {
             clock: 0.0,
             dispatch_cursor: 0,
             fault,
-            obs: SimObs::new(collector),
-            steps_done: 0,
             cfg,
         }
     }
@@ -153,44 +142,7 @@ impl<'a> ReferenceEngine<'a> {
             }
             let job = &mut self.jobs[i];
             job.submitted = self.clock;
-            let phase = job.advance_phase(self.clock, self.cfg);
-            if self.obs.col.enabled() {
-                let name = self.jobs[i].job.app.name().to_string();
-                self.obs.col.emit(
-                    self.clock,
-                    EventBody::JobStart {
-                        job: i as u32,
-                        name,
-                    },
-                );
-                self.emit_phase(i, phase);
-            }
-        }
-    }
-
-    /// Emit the trace edge for job `i` entering `phase` (including the
-    /// terminal `Done`, which closes the job span).
-    fn emit_phase(&self, i: usize, phase: JobPhase) {
-        if !self.obs.col.enabled() {
-            return;
-        }
-        if phase == JobPhase::Done {
-            let makespan = self.jobs[i].finished - self.jobs[i].submitted;
-            self.obs.col.emit(
-                self.clock,
-                EventBody::JobEnd {
-                    job: i as u32,
-                    makespan,
-                },
-            );
-        } else {
-            self.obs.col.emit(
-                self.clock,
-                EventBody::Phase {
-                    job: i as u32,
-                    phase: phase.name().to_string(),
-                },
-            );
+            job.advance_phase(self.clock, self.cfg);
         }
     }
 
@@ -199,7 +151,6 @@ impl<'a> ReferenceEngine<'a> {
         let n = self.jobs.len();
         for off in 0..n {
             let i = (self.dispatch_cursor + off) % n;
-            let mut launched: u32 = 0;
             while let Some(tmpl) = self.jobs[i].pending.front() {
                 if matches!(self.jobs[i].phase, JobPhase::Waiting | JobPhase::Done) {
                     break;
@@ -216,8 +167,6 @@ impl<'a> ReferenceEngine<'a> {
                     SlotKind::Reduce => self.free_red[vm] -= 1,
                     SlotKind::Transfer => {}
                 }
-                self.obs
-                    .task(self.clock, i, vm as u32, tmpl.slot, TaskEventKind::Started);
                 let mut task = RunningTask::bind(i, vm as u32, &tmpl);
                 if self.fault.enabled {
                     let seq = self.fault.seq[i];
@@ -228,20 +177,6 @@ impl<'a> ReferenceEngine<'a> {
                 }
                 self.tasks.push(task);
                 self.jobs[i].active += 1;
-                launched += 1;
-            }
-            if launched > 0 {
-                self.obs.wave_tasks.record(f64::from(launched));
-                if self.obs.col.enabled() {
-                    self.obs.col.emit(
-                        self.clock,
-                        EventBody::Wave {
-                            job: i as u32,
-                            phase: self.jobs[i].phase.name().to_string(),
-                            tasks: launched,
-                        },
-                    );
-                }
             }
         }
         self.dispatch_cursor = (self.dispatch_cursor + 1) % n.max(1);
@@ -284,13 +219,6 @@ impl<'a> ReferenceEngine<'a> {
                 SlotKind::Reduce => self.free_red[vm] -= 1,
                 SlotKind::Transfer => {}
             }
-            self.obs.task(
-                self.clock,
-                entry.job,
-                vm as u32,
-                slot,
-                TaskEventKind::Retried,
-            );
             let mut task = RunningTask::bind(entry.job, vm as u32, &entry.template);
             task.uid = entry.uid;
             task.attempt = entry.attempt;
@@ -380,8 +308,6 @@ impl<'a> ReferenceEngine<'a> {
             let job = self.tasks[i].job;
             let orig_uid = self.tasks[i].uid;
             self.tasks[i].speculated = true;
-            self.obs
-                .task(self.clock, job, vm as u32, slot, TaskEventKind::Speculated);
             let mut backup = RunningTask::bind(job, vm as u32, &tmpl);
             backup.uid = orig_uid | BACKUP_BIT;
             backup.attempt = self.tasks[i].attempt;
@@ -410,21 +336,6 @@ impl<'a> ReferenceEngine<'a> {
                 break;
             }
             self.fault.next_event += 1;
-            self.obs.fault_edges.inc();
-            if self.obs.col.enabled() {
-                let (kind, vm) = match ev.kind {
-                    FaultEventKind::Crash(vm) => ("crash", vm),
-                    FaultEventKind::Recover(vm) => ("recover", vm),
-                    FaultEventKind::DegradationEdge => ("degradation", u32::MAX),
-                };
-                self.obs.col.emit(
-                    self.clock,
-                    EventBody::Fault {
-                        kind: kind.to_string(),
-                        vm,
-                    },
-                );
-            }
             match ev.kind {
                 FaultEventKind::Crash(vm) => self.crash_vm(vm as usize),
                 FaultEventKind::Recover(vm) => self.fault.crashed[vm as usize] = false,
@@ -464,13 +375,6 @@ impl<'a> ReferenceEngine<'a> {
             let job = victim.job;
             self.jobs[job].active -= 1;
             self.jobs[job].kills += 1;
-            self.obs.task(
-                self.clock,
-                job,
-                victim.vm,
-                victim.slot,
-                TaskEventKind::Killed,
-            );
             if victim.speculated && self.twin_index(victim.uid, victim.backup_of).is_some() {
                 // The surviving copy carries the work.
                 continue;
@@ -532,23 +436,6 @@ impl<'a> ReferenceEngine<'a> {
             if let Some(s) = t.current() {
                 if !s.is_latent() && s.units_remaining > EPS {
                     s.register(&mut self.reg);
-                }
-            }
-        }
-        self.obs.steps.inc();
-        self.steps_done += 1;
-        if self.obs.col.enabled() && self.steps_done % CONTENTION_STRIDE == 1 {
-            for tier in cast_cloud::tier::Tier::ALL {
-                let (demand, capacity) = self.reg.tier_totals(tier);
-                if demand > 0.0 {
-                    self.obs.col.emit(
-                        self.clock,
-                        EventBody::Contention {
-                            tier: tier.name().to_string(),
-                            demand,
-                            capacity,
-                        },
-                    );
                 }
             }
         }
@@ -634,8 +521,6 @@ impl<'a> ReferenceEngine<'a> {
                 let task = self.tasks.swap_remove(idx);
                 self.release_slot(task.vm as usize, task.slot);
                 let job = task.job;
-                self.obs
-                    .task(self.clock, job, task.vm, task.slot, TaskEventKind::Finished);
                 self.jobs[job].active -= 1;
                 if task.speculated {
                     winners.push((task.uid, task.backup_of));
@@ -650,19 +535,15 @@ impl<'a> ReferenceEngine<'a> {
                 let loser = self.tasks.swap_remove(k);
                 self.release_slot(loser.vm as usize, loser.slot);
                 let job = loser.job;
-                self.obs
-                    .task(self.clock, job, loser.vm, loser.slot, TaskEventKind::Killed);
                 self.jobs[job].active -= 1;
                 self.jobs[job].kills += 1;
             }
         }
         // Advance any job whose phase fully drained this step.
-        for i in 0..self.jobs.len() {
-            let job = &mut self.jobs[i];
+        for job in &mut self.jobs {
             if job.phase != JobPhase::Waiting && job.phase != JobPhase::Done && job.phase_drained()
             {
-                let phase = job.advance_phase(self.clock, self.cfg);
-                self.emit_phase(i, phase);
+                job.advance_phase(self.clock, self.cfg);
             }
         }
         Ok(())
@@ -676,8 +557,6 @@ impl<'a> ReferenceEngine<'a> {
         let job = task.job;
         self.jobs[job].active -= 1;
         self.jobs[job].failures += 1;
-        self.obs
-            .task(self.clock, job, task.vm, task.slot, TaskEventKind::Failed);
         if task.speculated && self.twin_index(task.uid, task.backup_of).is_some() {
             // The surviving copy carries the work; no retry needed.
             return Ok(());

@@ -17,10 +17,11 @@
 //! * the *batch* API ([`ShareRegistry::clear_counts`] +
 //!   [`ShareRegistry::register`]) rebuilds loads from scratch each step —
 //!   used by the reference stepper;
-//! * the *incremental* API ([`ShareRegistry::register_flow`] /
-//!   [`ShareRegistry::unregister_flow`]) keeps per-resource flow lists and
-//!   a dirty-set so the event-driven engine can recompute only the tasks
-//!   whose resources actually changed.
+//! * the crate-private *incremental* API (`register_flow_at` /
+//!   `unregister_flow_at`, addressed by dense resource index and flow
+//!   position) keeps per-resource flow lists and a dirty-set so the
+//!   event-driven engine can recompute only the tasks whose resources
+//!   actually changed.
 //!
 //! An engine instance must use one API exclusively; mixing them on the
 //! same registry desynchronises loads from flow lists.
@@ -76,27 +77,19 @@ struct Flow {
     weight: f64,
 }
 
-/// Opaque position of a registered flow; returned by
-/// [`ShareRegistry::register_flow`] and needed to unregister it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowHandle {
-    pub(crate) res: u32,
-    pub(crate) pos: u32,
-}
-
 /// Reported when unregistering a flow moved another flow into the freed
 /// position (swap-remove): the owner of the moved flow must update the
-/// handle it holds for resource `res` from position `from` to `to`.
+/// position it holds for resource `res` from `from` to `to`.
 #[derive(Debug, Clone, Copy)]
-pub struct MovedFlow {
+pub(crate) struct MovedFlow {
     /// Task owning the moved flow.
-    pub task: u32,
+    pub(crate) task: u32,
     /// Resource index the move happened on.
-    pub res: u32,
+    pub(crate) res: u32,
     /// The moved flow's old position (the former last slot).
-    pub from: u32,
+    pub(crate) from: u32,
     /// The moved flow's new position.
-    pub to: u32,
+    pub(crate) to: u32,
 }
 
 /// Tracks capacity and aggregate flow demand for every resource.
@@ -359,38 +352,14 @@ impl ShareRegistry {
         pos
     }
 
-    /// Index-addressed form of [`ShareRegistry::unregister_flow`].
-    #[inline]
+    /// Remove the flow at position `pos` of resource `res` (incremental
+    /// API). The load is re-summed from the remaining flows, so it cannot
+    /// drift away from the true sum over long runs and is exactly zero
+    /// when the list empties. Returns the fix-up the caller must apply
+    /// when another flow was swapped into the freed position.
     pub(crate) fn unregister_flow_at(&mut self, res: u32, pos: u32) -> Option<MovedFlow> {
-        self.unregister_flow(FlowHandle { res, pos })
-    }
-
-    /// Re-point the flow at position `pos` of resource `res` at a new
-    /// owning task index (after the engine swap-removes a task). Load is
-    /// unchanged.
-    #[inline]
-    pub(crate) fn retarget_flow_at(&mut self, res: u32, pos: u32, task: u32) {
-        self.flows[res as usize][pos as usize].task = task;
-    }
-
-    /// Register a persistent flow for `task` on `key` (incremental API).
-    /// The resource is marked dirty; the returned handle unregisters it.
-    #[inline]
-    pub fn register_flow(&mut self, key: ResKey, weight: f64, task: u32) -> FlowHandle {
-        let res = self.res_index(key);
-        let pos = self.register_flow_at(res, weight, task);
-        FlowHandle { res, pos }
-    }
-
-    /// Remove the flow behind `handle` (incremental API). The load is
-    /// re-summed from the remaining flows, so it cannot drift away from
-    /// the true sum over long runs and is exactly zero when the list
-    /// empties. Returns the fix-up the caller must apply when another
-    /// flow was swapped into the freed position.
-    pub fn unregister_flow(&mut self, handle: FlowHandle) -> Option<MovedFlow> {
-        let i = handle.res as usize;
-        let pos = handle.pos as usize;
-        self.flows[i].swap_remove(pos);
+        let i = res as usize;
+        self.flows[i].swap_remove(pos as usize);
         let new_load: f64 = self.flows[i].iter().map(|f| f.weight).sum();
         if let Some(t) = self.tier_of_index(i) {
             self.tier_demand[t] += new_load - self.load[i];
@@ -399,12 +368,20 @@ impl ShareRegistry {
         self.refresh_cache(i);
         self.mark_dirty(i);
         let from = self.flows[i].len() as u32;
-        (handle.pos < from).then(|| MovedFlow {
-            task: self.flows[i][pos].task,
-            res: handle.res,
+        (pos < from).then(|| MovedFlow {
+            task: self.flows[i][pos as usize].task,
+            res,
             from,
-            to: handle.pos,
+            to: pos,
         })
+    }
+
+    /// Re-point the flow at position `pos` of resource `res` at a new
+    /// owning task index (after the engine swap-removes a task). Load is
+    /// unchanged.
+    #[inline]
+    pub(crate) fn retarget_flow_at(&mut self, res: u32, pos: u32, task: u32) {
+        self.flows[res as usize][pos as usize].task = task;
     }
 
     /// Whether any resource changed since the last drain.
@@ -557,22 +534,20 @@ mod tests {
             vm: 0,
             kind: ResKind::Volume(Tier::PersSsd),
         };
-        let a = reg.register_flow(key, 0.1, 7);
-        let b = reg.register_flow(key, 0.2, 8);
-        let c2 = reg.register_flow(key, 0.3, 9);
+        let res = reg.res_index(key);
+        let a = reg.register_flow_at(res, 0.1, 7);
+        let b = reg.register_flow_at(res, 0.2, 8);
+        reg.register_flow_at(res, 0.3, 9);
         assert!((reg.load(key) - 0.6).abs() < 1e-12);
         // Removing the first flow swaps the last into its slot.
-        let moved = reg.unregister_flow(a).expect("swap moved a flow");
+        let moved = reg.unregister_flow_at(res, a).expect("swap moved a flow");
         assert_eq!(moved.task, 9);
+        assert_eq!(moved.res, res);
         assert_eq!(moved.to, 0);
         assert_eq!(moved.from, 2);
-        let c2 = FlowHandle {
-            res: c2.res,
-            pos: moved.to,
-        };
         assert!((reg.load(key) - 0.5).abs() < 1e-12);
-        assert!(reg.unregister_flow(b).is_none());
-        assert!(reg.unregister_flow(c2).is_none());
+        assert!(reg.unregister_flow_at(res, b).is_none());
+        assert!(reg.unregister_flow_at(res, moved.to).is_none());
         // Re-summing on unregister guarantees an exactly idle resource.
         assert_eq!(reg.load(key), 0.0);
         assert_eq!(reg.unit_rate(key), f64::INFINITY);
@@ -586,8 +561,9 @@ mod tests {
             vm: 1,
             kind: ResKind::Nic,
         };
-        reg.register_flow(key, 1.0, 3);
-        reg.register_flow(key, 1.0, 4);
+        let res = reg.res_index(key);
+        reg.register_flow_at(res, 1.0, 3);
+        reg.register_flow_at(res, 1.0, 4);
         assert!(reg.has_dirty());
         let mut seen = Vec::new();
         reg.drain_dirty(|t| seen.push(t));
@@ -633,20 +609,18 @@ mod tests {
             vm: 0,
             kind: ResKind::Volume(Tier::PersSsd),
         };
-        let h = reg.register_flow(key, 1.5, 0);
+        let h = reg.res_index(key);
+        let h_pos = reg.register_flow_at(h, 1.5, 0);
         // The cluster-global object-store slot must stay excluded.
-        let g = reg.register_flow(
-            ResKey {
-                vm: GLOBAL_VM,
-                kind: ResKind::Volume(Tier::ObjStore),
-            },
-            9.0,
-            0,
-        );
+        let g = reg.res_index(ResKey {
+            vm: GLOBAL_VM,
+            kind: ResKind::Volume(Tier::ObjStore),
+        });
+        let g_pos = reg.register_flow_at(g, 9.0, 0);
         assert!((reg.tier_totals(Tier::PersSsd).0 - 1.5).abs() < 1e-12);
         assert_eq!(reg.tier_totals(Tier::ObjStore).0, 0.0);
-        reg.unregister_flow(h);
-        reg.unregister_flow(g);
+        reg.unregister_flow_at(h, h_pos);
+        reg.unregister_flow_at(g, g_pos);
         assert_eq!(reg.tier_totals(Tier::PersSsd).0, 0.0);
         // Degradation scaling is reflected in the running capacity.
         reg.scale_tier(None, Tier::PersSsd, 0.25);

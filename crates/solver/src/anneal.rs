@@ -755,6 +755,30 @@ mod tests {
     }
 
     #[test]
+    fn reuse_aware_solve_reports_an_undeclared_dataset() {
+        // Two Grep jobs sharing a dataset the spec does not declare.
+        let mut spec = synth::single_job(
+            cast_workload::AppKind::Grep,
+            cast_cloud::units::DataSize::from_gb(200.0),
+        );
+        spec.jobs[0].dataset = cast_workload::DatasetId(99);
+        let mut j2 = spec.jobs[0];
+        j2.id = cast_workload::JobId(1);
+        spec.jobs.push(j2);
+        let est = toy_estimator(5);
+        let ctx = EvalContext::new(&est, &spec).with_reuse_awareness();
+        let init = TieringPlan::uniform(&spec, Tier::PersSsd);
+        let err = Annealer::new(quick_cfg(3)).solve(&ctx, init).unwrap_err();
+        assert_eq!(
+            err,
+            SolverError::Workload(cast_workload::WorkloadError::UnknownDataset {
+                job: 0,
+                dataset: 99
+            })
+        );
+    }
+
+    #[test]
     fn trace_is_monotone_nondecreasing() {
         let spec = synth::prediction_workload();
         let est = toy_estimator(25);

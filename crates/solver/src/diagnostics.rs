@@ -27,15 +27,6 @@ pub struct SolveDiagnostics {
 }
 
 impl SolveDiagnostics {
-    /// Acceptance ratio.
-    pub fn acceptance_rate(&self) -> f64 {
-        if self.iterations == 0 {
-            0.0
-        } else {
-            self.accepted as f64 / self.iterations as f64
-        }
-    }
-
     /// Relative improvement of best over initial.
     pub fn improvement(&self) -> f64 {
         if self.initial_score.abs() < f64::EPSILON {
@@ -76,14 +67,12 @@ mod tests {
             trace_stride: 100,
             restarts: 1,
         };
-        assert!((d.acceptance_rate() - 0.4).abs() < 1e-12);
         assert!((d.improvement() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn zero_iterations_safe() {
         let d = SolveDiagnostics::default();
-        assert_eq!(d.acceptance_rate(), 0.0);
         assert_eq!(d.improvement(), 0.0);
     }
 

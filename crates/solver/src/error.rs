@@ -18,6 +18,9 @@ pub enum SolverError {
     },
     /// A workflow-mode solve was requested for a job outside any workflow.
     NotInWorkflow(u32),
+    /// The workload itself is malformed (e.g. a reuse group reads a
+    /// dataset the spec does not define).
+    Workload(cast_workload::WorkloadError),
 }
 
 impl fmt::Display for SolverError {
@@ -32,6 +35,7 @@ impl fmt::Display for SolverError {
             SolverError::NotInWorkflow(j) => {
                 write!(f, "job #{j} is not a member of any workflow")
             }
+            SolverError::Workload(e) => write!(f, "workload error: {e}"),
         }
     }
 }
@@ -41,6 +45,12 @@ impl std::error::Error for SolverError {}
 impl From<cast_estimator::EstimatorError> for SolverError {
     fn from(e: cast_estimator::EstimatorError) -> Self {
         SolverError::Estimator(e)
+    }
+}
+
+impl From<cast_workload::WorkloadError> for SolverError {
+    fn from(e: cast_workload::WorkloadError) -> Self {
+        SolverError::Workload(e)
     }
 }
 

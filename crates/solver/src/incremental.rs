@@ -57,7 +57,7 @@ use cast_cloud::units::{DataSize, Duration};
 use cast_estimator::regression::per_vm_capacity;
 use cast_estimator::PhaseBw;
 use cast_workload::job::{Job, JobId};
-use cast_workload::{splitmix64, WorkloadSpec};
+use cast_workload::WorkloadError;
 
 use crate::error::SolverError;
 use crate::objective::{provision_round, EvalContext};
@@ -69,45 +69,6 @@ use crate::plan::{Assignment, TieringPlan};
 /// key, and fleet-level solve dedup reuses the same notion of sameness.
 pub fn job_class_key(job: &Job) -> (cast_workload::AppKind, u64, usize, usize) {
     (job.app, job.input.bytes().to_bits(), job.maps, job.reduces)
-}
-
-/// Position-sensitive 64-bit digest of everything a solve reads from a
-/// spec: each job's [`job_class_key`] and the *rank* of its dataset among
-/// the spec's sorted distinct dataset ids (raw `DatasetId` values are
-/// renumbering noise — only the grouping structure matters), the dataset
-/// sizes in rank order, the app profiles in first-use order, and the
-/// reuse-awareness flag. Two specs with equal signatures present the
-/// annealer with isomorphic search landscapes: same job count, same
-/// per-position estimator behaviour, same reuse-group discounts — so a
-/// seed-matched solve of one is positionally valid for the other.
-/// Callers that fan a solve out across specs must still compare the
-/// underlying inputs (this is a digest, not a proof).
-pub fn class_signature(spec: &WorkloadSpec, reuse_aware: bool) -> u64 {
-    let mut ds: Vec<cast_workload::DatasetId> = spec.datasets.iter().map(|d| d.id).collect();
-    ds.sort_unstable();
-    ds.dedup();
-    let mut h = splitmix64(0x5016_C1A5 ^ reuse_aware as u64);
-    let mut apps: Vec<cast_workload::AppKind> = Vec::new();
-    for job in &spec.jobs {
-        h = splitmix64(h ^ job.class_bits());
-        let rank = ds.binary_search(&job.dataset).unwrap_or(usize::MAX) as u64;
-        h = splitmix64(h ^ rank);
-        if !apps.contains(&job.app) {
-            apps.push(job.app);
-        }
-    }
-    for id in &ds {
-        let size = spec.dataset(*id).map(|d| d.size.bytes()).unwrap_or(0.0);
-        h = splitmix64(h ^ size.to_bits());
-    }
-    for app in apps {
-        let p = spec.profiles.get(app);
-        h = splitmix64(h ^ p.map_selectivity.to_bits());
-        h = splitmix64(h ^ p.output_selectivity.to_bits());
-        h = splitmix64(h ^ p.map_rate.mb_per_sec().to_bits());
-        h = splitmix64(h ^ p.reduce_rate.mb_per_sec().to_bits());
-    }
-    h
 }
 
 /// Cache-effectiveness counters for one [`IncrementalEval`] lifetime.
@@ -169,7 +130,8 @@ pub struct IncrementalEval<'a> {
     /// `inputᵢ + outputᵢ` per job (backing objStore bytes for ephSSD jobs).
     in_out: Vec<DataSize>,
     /// Reuse groups as `(dataset size, member indices)`, in
-    /// [`WorkloadSpec::reuse_groups`] order (empty when reuse is off).
+    /// [`cast_workload::WorkloadSpec::reuse_groups`] order (empty when
+    /// reuse is off).
     groups: Vec<(DataSize, Vec<usize>)>,
     /// Last-scored key and runtime per job.
     ledger: Vec<LedgerEntry>,
@@ -214,7 +176,10 @@ const MEMO_ROW_CAP: usize = 8;
 impl<'a> IncrementalEval<'a> {
     /// Build evaluation state for `plan`, which must assign every job of
     /// `ctx.spec` a factor satisfying Eq. 3. Positions are spec order, so
-    /// the spec's job ids must be unique ([`WorkloadSpec::validate`]).
+    /// the spec's job ids must be unique
+    /// ([`cast_workload::WorkloadSpec::validate`]). Under reuse awareness
+    /// a shared dataset the spec does not define is
+    /// [`SolverError::Workload`].
     pub fn new(ctx: &'a EvalContext<'a>, plan: &TieringPlan) -> Result<Self, SolverError> {
         let spec = ctx.spec;
         let n = spec.jobs.len();
@@ -291,11 +256,17 @@ impl<'a> IncrementalEval<'a> {
             spec.reuse_groups()
                 .into_iter()
                 .map(|(ds, jobs)| {
-                    let size = spec.dataset(ds).expect("validated spec").size;
+                    let size = spec
+                        .dataset(ds)
+                        .ok_or(WorkloadError::UnknownDataset {
+                            job: jobs[0].0,
+                            dataset: ds.0,
+                        })?
+                        .size;
                     let members = jobs.iter().map(|j| position[j]).collect();
-                    (size, members)
+                    Ok((size, members))
                 })
-                .collect()
+                .collect::<Result<_, SolverError>>()?
         } else {
             Vec::new()
         };

@@ -41,6 +41,6 @@ pub use castpp::{CastPlusPlus, CastPlusPlusConfig};
 pub use diagnostics::SolveDiagnostics;
 pub use error::SolverError;
 pub use greedy::{greedy_plan, GreedyMode};
-pub use incremental::{class_signature, job_class_key, CacheStats, IncrementalEval};
+pub use incremental::{job_class_key, CacheStats, IncrementalEval};
 pub use objective::{evaluate, EvalContext, PlanEval};
 pub use plan::{Assignment, TieringPlan};

@@ -13,6 +13,7 @@ use cast_cloud::units::DataSize;
 use cast_sim::placement::{JobPlacement, PlacementMap};
 use cast_workload::job::JobId;
 use cast_workload::spec::WorkloadSpec;
+use cast_workload::WorkloadError;
 
 use crate::error::SolverError;
 
@@ -116,14 +117,6 @@ impl TieringPlan {
         self.assignments.is_empty()
     }
 
-    /// `cᵢ` for one job under `spec`'s profiles.
-    pub fn capacity_of(&self, spec: &WorkloadSpec, job: JobId) -> Result<DataSize, SolverError> {
-        let a = self.require(job)?;
-        let j = spec.job(job).ok_or(SolverError::Unassigned(job.0))?;
-        let profile = spec.profiles.get(j.app);
-        Ok(j.footprint(profile) * a.overprov)
-    }
-
     /// Aggregate provisioned capacity per tier (the `capacity[f]` of
     /// Eq. 6), applying the paper's conventions:
     ///
@@ -132,7 +125,8 @@ impl TieringPlan {
     /// * jobs on `ephSSD` also hold input+output in the backing object
     ///   store for persistence — charged to `objStore`;
     /// * when `reuse_aware`, a shared input dataset is charged once per
-    ///   tier, not once per job (CAST++, Eq. 7).
+    ///   tier, not once per job (CAST++, Eq. 7); a shared dataset the spec
+    ///   does not define is [`SolverError::Workload`].
     pub fn capacities(
         &self,
         spec: &WorkloadSpec,
@@ -142,7 +136,13 @@ impl TieringPlan {
         // Shared inputs counted once per (dataset, tier) in reuse mode.
         if reuse_aware {
             for (ds, jobs) in spec.reuse_groups() {
-                let size = spec.dataset(ds).expect("validated spec").size;
+                let size = spec
+                    .dataset(ds)
+                    .ok_or(WorkloadError::UnknownDataset {
+                        job: jobs[0].0,
+                        dataset: ds.0,
+                    })?
+                    .size;
                 // All group members share a tier under Eq. 7; even if the
                 // plan violates that, we discount per distinct tier.
                 let mut tiers: Vec<Tier> = Vec::new();
@@ -195,17 +195,6 @@ impl TieringPlan {
         }
         map
     }
-
-    /// Fraction of jobs assigned to each tier (Fig. 7c's capacity
-    /// breakdown uses [`TieringPlan::capacities`]; this is the job-count
-    /// view used in diagnostics).
-    pub fn tier_histogram(&self) -> PerTier<usize> {
-        let mut h = PerTier::from_fn(|_| 0usize);
-        for (_, a) in self.iter() {
-            *h.get_mut(a.tier) += 1;
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -230,22 +219,6 @@ mod tests {
         let p = TieringPlan::uniform(&s, Tier::PersHdd);
         assert_eq!(p.len(), 2);
         assert_eq!(p.get(JobId(1)).unwrap().tier, Tier::PersHdd);
-    }
-
-    #[test]
-    fn capacity_of_respects_footprint_and_factor() {
-        let s = spec();
-        let mut p = TieringPlan::uniform(&s, Tier::PersSsd);
-        p.assign(
-            JobId(0),
-            Assignment {
-                tier: Tier::PersSsd,
-                overprov: 2.0,
-            },
-        );
-        // Sort footprint = 3 × 10 GB; doubled = 60 GB.
-        let c = p.capacity_of(&s, JobId(0)).unwrap();
-        assert!((c.gb() - 60.0).abs() < 1e-9);
     }
 
     #[test]
@@ -292,6 +265,22 @@ mod tests {
     }
 
     #[test]
+    fn reuse_awareness_reports_an_undeclared_dataset() {
+        let mut s = spec();
+        for job in &mut s.jobs {
+            job.dataset = cast_workload::DatasetId(99);
+        }
+        let p = TieringPlan::uniform(&s, Tier::PersSsd);
+        assert_eq!(
+            p.capacities(&s, true),
+            Err(SolverError::Workload(WorkloadError::UnknownDataset {
+                job: 0,
+                dataset: 99
+            }))
+        );
+    }
+
+    #[test]
     fn invalid_factor_rejected() {
         let s = spec();
         let mut p = TieringPlan::uniform(&s, Tier::PersSsd);
@@ -317,17 +306,6 @@ mod tests {
             p.capacities(&s, false),
             Err(SolverError::Unassigned(1))
         ));
-    }
-
-    #[test]
-    fn histogram_counts_jobs() {
-        let s = spec();
-        let mut p = TieringPlan::uniform(&s, Tier::PersSsd);
-        p.assign(JobId(1), Assignment::exact(Tier::ObjStore));
-        let h = p.tier_histogram();
-        assert_eq!(*h.get(Tier::PersSsd), 1);
-        assert_eq!(*h.get(Tier::ObjStore), 1);
-        assert_eq!(*h.get(Tier::EphSsd), 0);
     }
 
     #[test]

@@ -90,29 +90,16 @@ impl Job {
         Ok(())
     }
 
-    /// 64-bit digest of the job's solver equivalence class: everything
-    /// `REG(·)` reads from a job — `(app, input, maps, reduces)`, the
-    /// keying `cast-solver`'s `IncrementalEval` memoises on. Two jobs
-    /// with equal class bits are indistinguishable to the estimator and
-    /// therefore to any tiering decision; identity (`id`, `dataset`) is
-    /// deliberately excluded so the digest is stable under renumbering.
-    pub fn class_bits(&self) -> u64 {
-        let mut h = crate::tenant::splitmix64(self.app as u64 ^ 0xC1A5_5E5E);
-        h = crate::tenant::splitmix64(h ^ self.input.bytes().to_bits());
-        h = crate::tenant::splitmix64(h ^ self.maps as u64);
-        crate::tenant::splitmix64(h ^ self.reduces as u64)
-    }
-
     /// Coarse drift bucket: the application crossed with the input
     /// size's order of magnitude, two powers of two per class ([1, 4),
-    /// [4, 16), [16, 64) GB, …). Unlike [`Job::class_bits`] this is
-    /// deliberately lossy — a tiering decision rarely flips inside one
-    /// class, and epoch batches are small samples, so finer buckets
-    /// would read sampling noise as drift — and a multiset distance
-    /// over drift keys therefore measures how far a batch's *shape*
-    /// moved between epochs, not whether any byte count changed. The
-    /// online runtime's replan-skip gate and the fleet's class-level
-    /// solve dedup are the consumers.
+    /// [4, 16), [16, 64) GB, …). Unlike the solver's exact job class
+    /// (`(app, input, maps, reduces)`) this is deliberately lossy — a
+    /// tiering decision rarely flips inside one class, and epoch batches
+    /// are small samples, so finer buckets would read sampling noise as
+    /// drift — and a multiset distance over drift keys therefore
+    /// measures how far a batch's *shape* moved between epochs, not
+    /// whether any byte count changed. The online runtime's drift-gated
+    /// replan skip is the consumer.
     pub fn drift_key(&self) -> u64 {
         let bucket = (self.input.gb().max(1.0).log2() / 2.0).floor() as i64;
         crate::tenant::splitmix64((self.app as u64) << 32 ^ bucket as u64)
@@ -188,32 +175,6 @@ mod tests {
     #[test]
     fn block_helper_matches_runtime_constructor() {
         assert!((default_block().mb() - DataSize::from_mb(256.0).mb()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn class_bits_ignore_identity_but_see_shape() {
-        let a = Job::with_default_layout(
-            JobId(0),
-            AppKind::Sort,
-            DatasetId(0),
-            DataSize::from_gb(6.0),
-        );
-        let renamed = Job {
-            id: JobId(99),
-            dataset: DatasetId(7),
-            ..a
-        };
-        assert_eq!(a.class_bits(), renamed.class_bits());
-        let other_app = Job {
-            app: AppKind::Grep,
-            ..a
-        };
-        assert_ne!(a.class_bits(), other_app.class_bits());
-        let other_size = Job {
-            input: DataSize::from_gb(6.5),
-            ..a
-        };
-        assert_ne!(a.class_bits(), other_size.class_bits());
     }
 
     #[test]

@@ -37,7 +37,6 @@ pub mod job;
 pub mod profile;
 pub mod reuse;
 pub mod spec;
-pub mod stats;
 pub mod synth;
 pub mod tenant;
 pub mod workflow;
@@ -50,7 +49,6 @@ pub use job::{Job, JobId};
 pub use profile::{AppProfile, ProfileSet};
 pub use reuse::ReusePattern;
 pub use spec::WorkloadSpec;
-pub use stats::WorkloadStats;
 pub use tenant::{
     splitmix64, tenant_fleet, FleetWorkloadConfig, TenantClass, TenantId, TenantSpec,
 };

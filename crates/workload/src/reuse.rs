@@ -47,20 +47,6 @@ impl ReusePattern {
             lifetime: Duration::from_hours(24.0 * 7.0),
         }
     }
-
-    /// Whether the dataset is accessed more than once.
-    pub fn is_reused(&self) -> bool {
-        self.accesses > 1
-    }
-
-    /// Mean gap between consecutive accesses (zero when not reused).
-    pub fn access_interval(&self) -> Duration {
-        if self.accesses <= 1 {
-            Duration::ZERO
-        } else {
-            self.lifetime / (self.accesses - 1) as f64
-        }
-    }
 }
 
 impl Default for ReusePattern {
@@ -77,24 +63,5 @@ mod tests {
     fn paper_patterns_do_seven_accesses() {
         assert_eq!(ReusePattern::short_term().accesses, 7);
         assert_eq!(ReusePattern::long_term().accesses, 7);
-    }
-
-    #[test]
-    fn short_term_interval_is_about_eight_minutes() {
-        let gap = ReusePattern::short_term().access_interval();
-        assert!((gap.mins() - 10.0).abs() < 2.5, "got {} min", gap.mins());
-    }
-
-    #[test]
-    fn long_term_interval_is_one_day() {
-        let gap = ReusePattern::long_term().access_interval();
-        assert!((gap.hours() - 28.0).abs() < 6.0, "got {} h", gap.hours());
-    }
-
-    #[test]
-    fn none_is_not_reused() {
-        assert!(!ReusePattern::none().is_reused());
-        assert!(ReusePattern::short_term().is_reused());
-        assert_eq!(ReusePattern::none().access_interval(), Duration::ZERO);
     }
 }

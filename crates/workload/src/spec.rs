@@ -84,20 +84,6 @@ impl WorkloadSpec {
         groups
     }
 
-    /// Jobs not belonging to any workflow.
-    pub fn independent_jobs(&self) -> Vec<JobId> {
-        let in_wf: HashSet<JobId> = self
-            .workflows
-            .iter()
-            .flat_map(|w| w.jobs.iter().copied())
-            .collect();
-        self.jobs
-            .iter()
-            .map(|j| j.id)
-            .filter(|id| !in_wf.contains(id))
-            .collect()
-    }
-
     /// Validate the whole specification: job shapes, unique ids, dataset
     /// references, workflow membership and acyclicity.
     pub fn validate(&self) -> Result<(), WorkloadError> {
@@ -225,7 +211,6 @@ mod tests {
             vec![JobId(0)],
             Duration::from_mins(10.0),
         ));
-        assert_eq!(spec.independent_jobs(), vec![JobId(1)]);
         assert!(spec.workflow_of(JobId(0)).is_some());
         assert!(spec.workflow_of(JobId(1)).is_none());
     }

@@ -216,40 +216,6 @@ impl Workflow {
         }
         order
     }
-
-    /// Critical-path completion time, given each job's runtime and each
-    /// edge's transfer delay (cross-tier output hand-off).
-    ///
-    /// Returns `None` for cyclic graphs.
-    pub fn critical_path(
-        &self,
-        runtime: impl Fn(JobId) -> Duration,
-        edge_delay: impl Fn(JobId, JobId) -> Duration,
-    ) -> Option<Duration> {
-        let order = self.topo_order()?;
-        let mut finish: HashMap<JobId, Duration> = HashMap::new();
-        for &j in &order {
-            let start = self
-                .parents(j)
-                .iter()
-                .map(|&p| finish[&p] + edge_delay(p, j))
-                .fold(Duration::ZERO, Duration::max);
-            finish.insert(j, start + runtime(j));
-        }
-        Some(finish.values().copied().fold(Duration::ZERO, Duration::max))
-    }
-
-    /// Serialised completion time: jobs run back-to-back in topological
-    /// order (the Eq. 9 model, which sums over the workflow's jobs).
-    pub fn serialized_time(
-        &self,
-        runtime: impl Fn(JobId) -> Duration,
-        edge_delay: impl Fn(JobId, JobId) -> Duration,
-    ) -> Duration {
-        let run: Duration = self.jobs.iter().map(|&j| runtime(j)).sum();
-        let xfer: Duration = self.edges.iter().map(|&(a, b)| edge_delay(a, b)).sum();
-        run + xfer
-    }
 }
 
 #[cfg(test)]
@@ -322,34 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_of_diamond() {
-        let w = diamond();
-        // Runtimes: 10, 20, 5, 1. Branch through job1 dominates.
-        let rt = |job: JobId| {
-            Duration::from_secs(match job.0 {
-                0 => 10.0,
-                1 => 20.0,
-                2 => 5.0,
-                _ => 1.0,
-            })
-        };
-        let cp = w
-            .critical_path(rt, |_, _| Duration::from_secs(2.0))
-            .unwrap();
-        // 10 + 2 + 20 + 2 + 1 = 35.
-        assert!((cp.secs() - 35.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn serialized_time_sums_everything() {
-        let w = diamond();
-        let rt = |_: JobId| Duration::from_secs(10.0);
-        let total = w.serialized_time(rt, |_, _| Duration::from_secs(1.0));
-        // 4 jobs × 10 s + 4 edges × 1 s.
-        assert!((total.secs() - 44.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn chain_constructor() {
         let w = Workflow::chain(
             WorkflowId(1),
@@ -360,14 +298,5 @@ mod tests {
         assert!(w.validate().is_ok());
         assert_eq!(w.roots(), vec![j(5)]);
         assert_eq!(w.sinks(), vec![j(7)]);
-    }
-
-    #[test]
-    fn critical_path_none_on_cycle() {
-        let mut w = diamond();
-        w.edges.push((j(3), j(0)));
-        assert!(w
-            .critical_path(|_| Duration::ZERO, |_, _| Duration::ZERO)
-            .is_none());
     }
 }

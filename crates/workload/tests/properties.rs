@@ -60,24 +60,6 @@ proptest! {
         }
     }
 
-    /// Critical path is never longer than the serialized time and never
-    /// shorter than the longest single job.
-    #[test]
-    fn critical_path_bounds(wf in arb_dag(), secs in 1.0f64..100.0) {
-        let rt = |j: JobId| Duration::from_secs(secs * (j.0 + 1) as f64);
-        let cp = wf
-            .critical_path(rt, |_, _| Duration::ZERO)
-            .expect("acyclic");
-        let serial = wf.serialized_time(rt, |_, _| Duration::ZERO);
-        let longest = wf
-            .jobs
-            .iter()
-            .map(|&j| rt(j))
-            .fold(Duration::ZERO, Duration::max);
-        prop_assert!(cp.secs() <= serial.secs() + 1e-9);
-        prop_assert!(cp.secs() + 1e-9 >= longest.secs());
-    }
-
     /// Adding a back edge to any forward-DAG creates a detectable cycle.
     #[test]
     fn back_edge_makes_cycle(wf in arb_dag()) {

@@ -52,7 +52,6 @@ const EXPECTED: &[&str] = &[
     "SimBuilder",
     "Tier",
     "TieringPlan",
-    "TraceSink",
     "VmCrash",
     "WorkloadSpec",
 ];
