@@ -364,7 +364,7 @@ fn bench_incremental(reps: usize) -> IncrementalSection {
                 init.clone(),
                 &gen,
                 |p| evaluate(p, &ctx).map(|e| e.utility),
-                None,
+                false,
             )
             .expect("full-scoring solve");
         full_lat.push(t0.elapsed().as_secs_f64());

@@ -8,7 +8,7 @@ use cast_estimator::mrcute::ClusterSpec;
 use cast_estimator::profiler::{profile_all, ProfilerConfig};
 use cast_estimator::Estimator;
 use cast_obs::Observe;
-use cast_solver::castpp::{CastPlusPlus, CastPlusPlusConfig};
+use cast_solver::castpp::CastPlusPlus;
 use cast_solver::{
     evaluate, greedy_plan, AnnealConfig, Annealer, EvalContext, GreedyMode, PlanEval, SolverError,
     TieringPlan,
@@ -184,9 +184,9 @@ impl Cast {
     }
 
     /// Produce a tiering plan for `spec` with `strategy`. The annealing
-    /// strategies run the default schedules ([`AnnealConfig::default`],
-    /// [`CastPlusPlusConfig::default`]). A spec that fails
-    /// [`WorkloadSpec::validate`] is [`CastError::Workload`].
+    /// strategies run the default schedule ([`AnnealConfig::default`]);
+    /// CAST++'s per-workflow solves run their own fixed budget. A spec
+    /// that fails [`WorkloadSpec::validate`] is [`CastError::Workload`].
     pub fn plan(&self, spec: &WorkloadSpec, strategy: PlanStrategy) -> Result<Planned, CastError> {
         spec.validate()?;
         let ctx = EvalContext::new(&self.estimator, spec);
@@ -230,9 +230,7 @@ impl Cast {
                 })
             }
             PlanStrategy::CastPlusPlus => {
-                let out = CastPlusPlus::new(CastPlusPlusConfig::default())
-                    .observe(self.obs.clone())
-                    .solve(&ctx)?;
+                let out = CastPlusPlus::new().observe(self.obs.clone()).solve(&ctx)?;
                 Ok(Planned {
                     plan: out.plan,
                     eval: out.eval,

@@ -103,8 +103,6 @@ use cast_cloud::units::Duration;
 pub(crate) const EPS: f64 = 1e-9;
 /// High bit marking the uid of a speculative backup copy.
 pub(crate) const BACKUP_BIT: u64 = 1 << 63;
-/// Cap on consecutive simulated object-store request retries per stage.
-pub(crate) const MAX_OBJ_RETRIES: u32 = 16;
 /// Engine steps between tier-contention samples on a recording collector.
 const CONTENTION_STRIDE: u64 = 32;
 
@@ -1498,7 +1496,7 @@ impl<'a> Engine<'a> {
                 }
                 self.obs
                     .task(clock, i, vm as u32, slot, TaskEventKind::Started);
-                let mut buf = bind_template(&mut self.st.buf_pool, vm as u32, &tmpl);
+                let buf = bind_template(&mut self.st.buf_pool, vm as u32, &tmpl);
                 let (mut uid, mut tid, mut doom) = (0u64, NO_TEMPLATE, NO_DOOM);
                 if self.st.run.fault_enabled {
                     let seq = self.st.seq[i];
@@ -1506,7 +1504,7 @@ impl<'a> Engine<'a> {
                     uid = ((i as u64) << 32) | u64::from(seq);
                     let plan = &self.cfg.faults;
                     let mut rng = attempt_rng(plan.seed, uid, 1);
-                    doom = arm_stages_with(plan, &mut rng, tmpl.total_units(), &mut buf);
+                    doom = draw_doom(plan, &mut rng, tmpl.total_units());
                     tid = self.st.arena.insert(tmpl);
                 }
                 self.spawn_task(i, vm as u32, slot, uid, 1, NO_TWIN, tid, buf, doom);
@@ -1641,10 +1639,10 @@ impl<'a> Engine<'a> {
     fn launch(&mut self, job: usize, vm: usize, uid: u64, attempt: u32, backup_of: u64, tid: u32) {
         let st = &mut *self.st;
         let tmpl = st.arena.get(tid);
-        let mut buf = bind_template(&mut st.buf_pool, vm as u32, tmpl);
+        let buf = bind_template(&mut st.buf_pool, vm as u32, tmpl);
         let plan = &self.cfg.faults;
         let mut rng = attempt_rng(plan.seed, uid, attempt);
-        let doom = arm_stages_with(plan, &mut rng, tmpl.total_units(), &mut buf);
+        let doom = draw_doom(plan, &mut rng, tmpl.total_units());
         let slot = tmpl.slot;
         self.jobs[job].active += 1;
         self.spawn_task(
@@ -2113,15 +2111,9 @@ pub(crate) fn stage_tier(s: &BoundStage) -> Option<String> {
 
 /// Sample one attempt's fate from its private RNG: whether (and how far
 /// in) it fails — returned as doom units, [`NO_DOOM`] for "will not
-/// fail" — plus simulated object-store request retries inflating fixed
-/// latencies in place. Deterministic in the RNG; shared by both engines
-/// so fault draws stay in lockstep.
-pub(crate) fn arm_stages_with(
-    plan: &FaultPlan,
-    rng: &mut StdRng,
-    total_units: f64,
-    stages: &mut [BoundStage],
-) -> f64 {
+/// fail". Deterministic in the RNG; shared by both engines so fault
+/// draws stay in lockstep.
+pub(crate) fn draw_doom(plan: &FaultPlan, rng: &mut StdRng, total_units: f64) -> f64 {
     let mut doom = NO_DOOM;
     if plan.task_failure_prob > 0.0 {
         // First draw decides failure: at rate p₂ > p₁ the failing set
@@ -2134,29 +2126,17 @@ pub(crate) fn arm_stages_with(
             }
         }
     }
-    if plan.objstore_request_failure > 0.0 {
-        for s in stages.iter_mut() {
-            if s.global.is_some() && s.fixed_remaining > 0.0 {
-                let mut extra = 0u32;
-                while extra < MAX_OBJ_RETRIES && rng.gen::<f64>() < plan.objstore_request_failure {
-                    extra += 1;
-                }
-                // Each failed request repeats the setup latency.
-                s.fixed_remaining *= 1.0 + f64::from(extra);
-            }
-        }
-    }
     doom
 }
 
-/// [`arm_stages_with`] on a boxed [`RunningTask`] (reference stepper).
+/// [`draw_doom`] for a boxed [`RunningTask`] (reference stepper).
 pub(crate) fn arm_task_with(plan: &FaultPlan, rng: &mut StdRng, task: &mut RunningTask) {
     let total = task
         .template
         .as_deref()
         .map(TaskTemplate::total_units)
         .unwrap_or(0.0);
-    let doom = arm_stages_with(plan, rng, total, task.stages.make_contiguous());
+    let doom = draw_doom(plan, rng, total);
     if doom.is_finite() {
         task.doom_units = Some(doom);
     }

@@ -2,12 +2,12 @@
 //!
 //! A [`FaultPlan`] attached to [`crate::config::SimConfig`] describes every
 //! injectable event up front — per-task failure probability, scheduled VM
-//! crashes and recoveries, transient tier-degradation windows, and an
-//! object-store per-request failure rate. The engine turns the plan into
-//! recovery behaviour: failed tasks re-enqueue with bounded retries and
-//! exponential backoff, crashed VMs kill their resident tasks and return
-//! their slots on recovery, and (optionally) Hadoop-style speculative
-//! execution launches backup copies of stragglers.
+//! crashes and recoveries, and transient tier-degradation windows. The
+//! engine turns the plan into recovery behaviour: failed tasks re-enqueue
+//! with bounded retries and exponential backoff, crashed VMs kill their
+//! resident tasks and return their slots on recovery, and (optionally)
+//! Hadoop-style speculative execution launches backup copies of
+//! stragglers.
 //!
 //! Determinism: every random fault decision is drawn from an RNG keyed by
 //! `(plan seed, task uid, attempt)` rather than a shared stream, so a
@@ -64,9 +64,6 @@ pub struct FaultPlan {
     /// Probability that any given task attempt fails partway through its
     /// streaming work.
     pub task_failure_prob: f64,
-    /// Probability that one object-store request fails and is retried;
-    /// inflates the fixed request latency of object-store stages.
-    pub objstore_request_failure: f64,
     /// Attempts (first run + retries) before the owning job is declared
     /// failed ([`crate::error::SimError::JobFailed`]). Hadoop's
     /// `mapreduce.map.maxattempts` default is 4.
@@ -92,7 +89,6 @@ impl Default for FaultPlan {
         FaultPlan {
             seed: 0xfa17_cafe,
             task_failure_prob: 0.0,
-            objstore_request_failure: 0.0,
             max_task_attempts: 4,
             retry_backoff_secs: 5.0,
             speculation_threshold: 0.0,
@@ -106,7 +102,6 @@ impl FaultPlan {
     /// Whether the plan injects nothing (recovery machinery stays cold).
     pub fn is_empty(&self) -> bool {
         self.task_failure_prob <= 0.0
-            && self.objstore_request_failure <= 0.0
             && self.speculation_threshold <= 0.0
             && self.vm_crashes.is_empty()
             && self.degradations.is_empty()
@@ -123,16 +118,9 @@ impl FaultPlan {
     /// Check the plan against a cluster of `nvm` workers. Returns a
     /// human-readable reason on the first violation.
     pub fn validate(&self, nvm: usize) -> Result<(), String> {
-        for (name, p) in [
-            ("task_failure_prob", self.task_failure_prob),
-            ("objstore_request_failure", self.objstore_request_failure),
-        ] {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("{name} must be in [0, 1], got {p}"));
-            }
-        }
-        if self.objstore_request_failure >= 1.0 {
-            return Err("objstore_request_failure must be < 1".to_string());
+        let p = self.task_failure_prob;
+        if !(0.0..=1.0).contains(&p) {
+            return Err(format!("task_failure_prob must be in [0, 1], got {p}"));
         }
         if self.task_failure_prob > 0.0 && self.max_task_attempts == 0 {
             return Err("max_task_attempts must be >= 1".to_string());
@@ -370,7 +358,12 @@ mod tests {
             ..FaultPlan::default()
         };
         let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
+        // Plans saved by older versions may still carry the retired
+        // `objstore_request_failure` field; unknown fields are ignored.
+        let old = json.replacen('{', "{\"objstore_request_failure\":0.0,", 1);
+        for text in [json, old] {
+            let back: FaultPlan = serde_json::from_str(&text).unwrap();
+            assert_eq!(back, plan);
+        }
     }
 }

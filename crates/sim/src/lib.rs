@@ -25,9 +25,10 @@
 //! its fair shares, its per-task client cap, and its application processing
 //! rate. The engine is progress-based and event-driven: when a resource's
 //! flow set changes, only the tasks sharing that resource have their rates
-//! recomputed, and predicted completions sit in a lazy-invalidation heap
-//! (see [`engine`] for the hot-path design and [`mod@reference`] for the
-//! equivalence oracle).
+//! recomputed, and each task's predicted completion is one live entry in
+//! an indexed min-heap, re-keyed or removed in place when its rate
+//! changes or it leaves (see [`engine`] for the hot-path design and
+//! [`mod@reference`] for the equivalence oracle).
 //! This reproduces the second-order effects the paper observes on the real
 //! cluster — waves from slot limits, stragglers under fine-grained
 //! cross-tier placement (Fig. 5), object-store request overheads for

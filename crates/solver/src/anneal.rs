@@ -11,6 +11,12 @@
 //! Utility differences are normalised by the initial score so one
 //! temperature scale works across workloads of any size.
 //!
+//! One loop runs every solve, over one of two states that address jobs
+//! by [`NeighborGen`] position: [`IncrementalEval`] for
+//! [`Annealer::solve`] and [`Annealer::resume_from`], and a whole plan
+//! scored by the caller's closure for [`Annealer::solve_with`] (CAST++'s
+//! per-workflow cost solves).
+//!
 //! Two performance properties of this implementation matter (see
 //! DESIGN.md "Solver performance"):
 //!
@@ -121,9 +127,94 @@ pub struct SearchOutcome {
     pub diagnostics: SolveDiagnostics,
 }
 
+/// The state one annealing chain walks: assignments addressed by
+/// generator position, changed in place and rolled back on rejection.
+trait ChainState {
+    /// The assignment at `position`; `None` when the state holds none,
+    /// and then the job is never moved.
+    fn get(&self, position: usize) -> Option<Assignment>;
+    /// Apply `(position, assignment)` changes, recording the displaced
+    /// assignments in `undo`.
+    fn apply(
+        &mut self,
+        changes: &[(usize, Assignment)],
+        undo: &mut Vec<(usize, Assignment)>,
+    ) -> Result<(), SolverError>;
+    /// Roll back the changes recorded in `undo`.
+    fn restore(&mut self, undo: &[(usize, Assignment)]);
+    /// Score the current assignments: a pure function of them.
+    fn score(&mut self) -> Result<f64, SolverError>;
+}
+
+/// [`Annealer::solve`]'s state: positions are spec order.
+impl ChainState for IncrementalEval<'_> {
+    fn get(&self, position: usize) -> Option<Assignment> {
+        self.assignments().get(position).copied()
+    }
+
+    fn apply(
+        &mut self,
+        changes: &[(usize, Assignment)],
+        undo: &mut Vec<(usize, Assignment)>,
+    ) -> Result<(), SolverError> {
+        IncrementalEval::apply(self, changes, undo)
+    }
+
+    fn restore(&mut self, undo: &[(usize, Assignment)]) {
+        IncrementalEval::restore(self, undo);
+    }
+
+    fn score(&mut self) -> Result<f64, SolverError> {
+        IncrementalEval::score(self)
+    }
+}
+
+/// [`Annealer::solve_with`]'s state: a whole plan, scored by the caller's
+/// closure, whose generator positions map to jobs through
+/// [`NeighborGen::job_at`].
+struct PlanChain<'a, S> {
+    plan: TieringPlan,
+    gen: &'a NeighborGen,
+    score: &'a S,
+}
+
+impl<S> ChainState for PlanChain<'_, S>
+where
+    S: Fn(&TieringPlan) -> Result<f64, SolverError>,
+{
+    fn get(&self, position: usize) -> Option<Assignment> {
+        self.plan.get(self.gen.job_at(position))
+    }
+
+    fn apply(
+        &mut self,
+        changes: &[(usize, Assignment)],
+        undo: &mut Vec<(usize, Assignment)>,
+    ) -> Result<(), SolverError> {
+        undo.clear();
+        for &(p, a) in changes {
+            let job = self.gen.job_at(p);
+            undo.push((p, self.plan.require(job)?));
+            self.plan.assign(job, a);
+        }
+        Ok(())
+    }
+
+    fn restore(&mut self, undo: &[(usize, Assignment)]) {
+        for &(p, a) in undo.iter().rev() {
+            self.plan.assign(self.gen.job_at(p), a);
+        }
+    }
+
+    fn score(&mut self) -> Result<f64, SolverError> {
+        (self.score)(&self.plan)
+    }
+}
+
 /// One restart's result, before best-of-N selection.
-struct ChainResult<P> {
-    best: P,
+struct ChainResult {
+    /// The best assignments found, by generator position.
+    best: Vec<Option<Assignment>>,
     score: f64,
     seed: u64,
     diagnostics: SolveDiagnostics,
@@ -131,25 +222,6 @@ struct ChainResult<P> {
     /// flushed into the collector in restart order after the join so the
     /// recorded stream is independent of thread scheduling.
     events: Vec<(f64, EventBody)>,
-}
-
-/// Best-of-N selection rule: highest score; ties broken by smallest seed
-/// so the outcome is independent of thread scheduling and machine.
-fn better<P>(a: &ChainResult<P>, b: &ChainResult<P>) -> bool {
-    a.score > b.score || (a.score == b.score && a.seed < b.seed)
-}
-
-fn pick_best<P>(
-    chains: Vec<Result<ChainResult<P>, SolverError>>,
-) -> Result<ChainResult<P>, SolverError> {
-    let mut best: Option<ChainResult<P>> = None;
-    for chain in chains {
-        let chain = chain?;
-        if best.as_ref().is_none_or(|b| better(&chain, b)) {
-            best = Some(chain);
-        }
-    }
-    Ok(best.expect("at least one restart"))
 }
 
 /// The CAST simulated-annealing solver.
@@ -207,19 +279,23 @@ impl Annealer {
         };
         let jobs = ctx.spec.jobs.iter().map(|j| j.id).collect();
         let gen = NeighborGen::new(jobs, groups);
-
-        let restarts = self.cfg.restarts.max(1);
-        let t0 = std::time::Instant::now();
-        // Independent chains on the worker pool: each restart derives its
-        // seed from its index, so results are bit-identical for any
-        // worker count (cast_sim::par's determinism contract).
-        let mut chains: Vec<Result<ChainResult<Vec<Assignment>>, SolverError>> =
-            par::run_indexed(workers(restarts), restarts, |r| {
-                self.chain_incremental(ctx, &init, &gen, r, restart_seed(self.cfg.seed, r))
-            });
-        self.observe_chains(&mut chains, t0.elapsed().as_secs_f64());
-        let winner = pick_best(chains)?;
-        let plan = plan_from_assignments(ctx, &winner.best);
+        let winner = self.best_of_restarts(|r| {
+            let mut state = IncrementalEval::new(ctx, &init)?;
+            let chain = self.chain(&mut state, &gen, false, r)?;
+            let cache = state.cache_stats();
+            self.obs
+                .counter("solver.cache.ledger_hits")
+                .add(cache.ledger_hits);
+            self.obs
+                .counter("solver.cache.memo_hits")
+                .add(cache.memo_hits);
+            self.obs.counter("solver.cache.bw_hits").add(cache.bw_hits);
+            self.obs.counter("solver.cache.misses").add(cache.misses);
+            Ok(chain)
+        })?;
+        // `IncrementalEval` assigns every spec position, so none is dropped.
+        let best: Vec<Assignment> = winner.best.into_iter().flatten().collect();
+        let plan = plan_from_assignments(ctx, &best);
         let eval = evaluate(&plan, ctx)?;
         Ok(AnnealOutcome {
             plan,
@@ -254,25 +330,90 @@ impl Annealer {
         warm.solve(ctx, incumbent)
     }
 
-    /// One annealing chain over [`IncrementalEval`] state. Mirrors
-    /// [`Annealer::chain_plan`] decision for decision; only the scoring
-    /// substrate differs. Proposals name jobs by spec position, which is
-    /// the state's own order.
-    fn chain_incremental(
+    /// Generic annealing search over an arbitrary score function: only
+    /// the jobs `gen` covers move, and the rest keep `init`'s assignment.
+    /// With `sequential` set, iteration `i` mutates the job at position
+    /// `i mod gen.len()` (CAST++'s DFS traversal, when `gen` lists the
+    /// jobs in that order); otherwise neighbours mutate random jobs.
+    ///
+    /// The score closure is called on the candidate plan only — no
+    /// per-iteration evaluation payloads are built; the caller
+    /// materialises whatever it needs from the winning plan once. A
+    /// proposal that leaves the plan unchanged keeps the current score
+    /// without a call, so `score` must be a pure function of the plan.
+    pub fn solve_with<S>(
         &self,
-        ctx: &EvalContext<'_>,
-        init: &TieringPlan,
+        init: TieringPlan,
         gen: &NeighborGen,
+        score: S,
+        sequential: bool,
+    ) -> Result<SearchOutcome, SolverError>
+    where
+        S: Fn(&TieringPlan) -> Result<f64, SolverError> + Sync,
+    {
+        let winner = self.best_of_restarts(|r| {
+            let mut state = PlanChain {
+                plan: init.clone(),
+                gen,
+                score: &score,
+            };
+            self.chain(&mut state, gen, sequential, r)
+        })?;
+        let mut plan = init;
+        for (p, a) in winner.best.into_iter().enumerate() {
+            if let Some(a) = a {
+                plan.assign(gen.job_at(p), a);
+            }
+        }
+        Ok(SearchOutcome {
+            plan,
+            score: winner.score,
+            diagnostics: winner.diagnostics,
+        })
+    }
+
+    /// Run `cfg.restarts` independent chains on the worker pool and keep
+    /// the best by `(score, seed)`: highest score, ties to the smallest
+    /// seed. Each restart derives its seed from its index, so the winner
+    /// is bit-identical for any worker count and thread schedule
+    /// (cast_sim::par's determinism contract).
+    fn best_of_restarts<F>(&self, run: F) -> Result<ChainResult, SolverError>
+    where
+        F: Fn(usize) -> Result<ChainResult, SolverError> + Sync,
+    {
+        let restarts = self.cfg.restarts.max(1);
+        let t0 = std::time::Instant::now();
+        let mut chains = par::run_indexed(workers(restarts), restarts, run);
+        self.observe_chains(&mut chains, t0.elapsed().as_secs_f64());
+        let mut best: Option<ChainResult> = None;
+        for chain in chains {
+            let chain = chain?;
+            if best.as_ref().is_none_or(|b| {
+                chain.score > b.score || (chain.score == b.score && chain.seed < b.seed)
+            }) {
+                best = Some(chain);
+            }
+        }
+        Ok(best.expect("at least one restart"))
+    }
+
+    /// Restart `restart`'s annealing chain over `state` (Algorithm 2).
+    /// `gen` proposes each move by position; with `sequential` set,
+    /// iteration `i` mutates position `i mod gen.len()`.
+    fn chain<St: ChainState>(
+        &self,
+        state: &mut St,
+        gen: &NeighborGen,
+        sequential: bool,
         restart: usize,
-        seed: u64,
-    ) -> Result<ChainResult<Vec<Assignment>>, SolverError> {
-        let mut state = IncrementalEval::new(ctx, init)?;
+    ) -> Result<ChainResult, SolverError> {
+        let seed = restart_seed(self.cfg.seed, restart);
         let mut rng = StdRng::seed_from_u64(seed);
         let init_score = state.score()?;
         let scale = init_score.abs().max(f64::MIN_POSITIVE);
 
         let mut current_score = init_score;
-        let mut best = state.assignments().to_vec();
+        let mut best: Vec<Option<Assignment>> = (0..gen.len()).map(|p| state.get(p)).collect();
         let mut best_score = init_score;
 
         let mut diag = SolveDiagnostics {
@@ -290,9 +431,9 @@ impl Annealer {
         for iter in 0..self.cfg.iterations {
             temp *= COOLING;
             gen.propose(
-                |p| state.assignments().get(p).copied(),
+                |p| state.get(p),
                 &mut rng,
-                None,
+                sequential.then_some(iter),
                 &mut moves,
             );
             state.apply(&moves, &mut undo)?;
@@ -306,7 +447,9 @@ impl Annealer {
             diag.iterations += 1;
 
             if n_score > best_score {
-                best.copy_from_slice(state.assignments());
+                for (p, b) in best.iter_mut().enumerate() {
+                    *b = state.get(p);
+                }
                 best_score = n_score;
                 diag.improvements += 1;
             }
@@ -325,149 +468,6 @@ impl Annealer {
             until_sample -= 1;
         }
         diag.best_score = best_score;
-        let cache = state.cache_stats();
-        self.obs
-            .counter("solver.cache.ledger_hits")
-            .add(cache.ledger_hits);
-        self.obs
-            .counter("solver.cache.memo_hits")
-            .add(cache.memo_hits);
-        self.obs.counter("solver.cache.bw_hits").add(cache.bw_hits);
-        self.obs.counter("solver.cache.misses").add(cache.misses);
-        Ok(ChainResult {
-            best,
-            score: best_score,
-            seed,
-            events: events.finish(best_score, &diag, &self.obs),
-            diagnostics: diag,
-        })
-    }
-
-    /// Generic annealing loop over an arbitrary score function. `cursor`
-    /// (when `Some`) supplies a deterministic job-visit order (CAST++'s
-    /// DFS traversal); otherwise neighbours mutate random jobs.
-    ///
-    /// The score closure is called on the candidate plan only — no
-    /// per-iteration evaluation payloads are built; the caller
-    /// materialises whatever it needs from the winning plan once. A
-    /// proposal that leaves the plan unchanged keeps the current score
-    /// without a call, so `score` must be a pure function of the plan.
-    pub fn solve_with<S>(
-        &self,
-        init: TieringPlan,
-        gen: &NeighborGen,
-        score: S,
-        cursor_order: Option<&[usize]>,
-    ) -> Result<SearchOutcome, SolverError>
-    where
-        S: Fn(&TieringPlan) -> Result<f64, SolverError> + Sync,
-    {
-        let restarts = self.cfg.restarts.max(1);
-        let t0 = std::time::Instant::now();
-        let mut chains: Vec<Result<ChainResult<TieringPlan>, SolverError>> =
-            par::run_indexed(workers(restarts), restarts, |r| {
-                self.chain_plan(
-                    init.clone(),
-                    gen,
-                    &score,
-                    cursor_order,
-                    r,
-                    restart_seed(self.cfg.seed, r),
-                )
-            });
-        self.observe_chains(&mut chains, t0.elapsed().as_secs_f64());
-        let winner = pick_best(chains)?;
-        Ok(SearchOutcome {
-            plan: winner.best,
-            score: winner.score,
-            diagnostics: winner.diagnostics,
-        })
-    }
-
-    /// One annealing chain mutating a plan in place (the generic-score
-    /// path used by CAST++'s per-workflow cost solves).
-    fn chain_plan<S>(
-        &self,
-        init: TieringPlan,
-        gen: &NeighborGen,
-        score: &S,
-        cursor_order: Option<&[usize]>,
-        restart: usize,
-        seed: u64,
-    ) -> Result<ChainResult<TieringPlan>, SolverError>
-    where
-        S: Fn(&TieringPlan) -> Result<f64, SolverError>,
-    {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let init_score = score(&init)?;
-        let scale = init_score.abs().max(f64::MIN_POSITIVE);
-
-        let mut current = init;
-        let mut current_score = init_score;
-        // The incumbent best as a flat snapshot; the winning plan is
-        // rebuilt from it exactly once after the loop.
-        let mut best_snapshot: Vec<(cast_workload::JobId, Assignment)> = current.iter().collect();
-        let mut best_score = init_score;
-
-        let mut diag = SolveDiagnostics {
-            initial_score: init_score,
-            trace_stride: (self.cfg.iterations / 100).max(1),
-            restarts: self.cfg.restarts.max(1),
-            ..SolveDiagnostics::default()
-        };
-        let mut events = ChainEvents::new(&self.obs, restart, seed);
-        let mut temp = self.temp_init;
-        let mut moves: Vec<(usize, Assignment)> = Vec::new();
-        let mut undo: Vec<(cast_workload::JobId, Assignment)> = Vec::new();
-        let mut until_sample = 0;
-
-        for iter in 0..self.cfg.iterations {
-            temp *= COOLING;
-            let cursor = cursor_order.map(|ord| ord[iter % ord.len()]);
-            gen.propose(|p| current.get(gen.job_at(p)), &mut rng, cursor, &mut moves);
-            undo.clear();
-            for &(p, a) in &moves {
-                let job = gen.job_at(p);
-                undo.push((job, current.get(job).expect("proposed over assigned job")));
-                current.assign(job, a);
-            }
-            // As in `chain_incremental`: an empty proposal keeps the
-            // current score, and `score` must be a pure function of the
-            // plan.
-            let n_score = if moves.is_empty() {
-                current_score
-            } else {
-                score(&current)?
-            };
-            diag.iterations += 1;
-
-            if n_score > best_score {
-                best_snapshot.clear();
-                best_snapshot.extend(current.iter());
-                best_score = n_score;
-                diag.improvements += 1;
-            }
-            let accepted = metropolis(n_score, current_score, scale, temp, &mut rng, &mut diag);
-            if accepted {
-                current_score = n_score;
-                diag.accepted += 1;
-            } else {
-                for &(job, a) in undo.iter().rev() {
-                    current.assign(job, a);
-                }
-            }
-            if until_sample == 0 {
-                until_sample = diag.trace_stride;
-                diag.trace.push(best_score);
-                events.sample(iter, n_score, best_score, temp, accepted, &diag);
-            }
-            until_sample -= 1;
-        }
-        diag.best_score = best_score;
-        let mut best = TieringPlan::new();
-        for (job, a) in best_snapshot {
-            best.assign(job, a);
-        }
         Ok(ChainResult {
             best,
             score: best_score,
@@ -483,7 +483,7 @@ impl Annealer {
     /// the recorded stream — and the metrics snapshot minus `.wall`
     /// entries — is identical no matter how the scheduler interleaved the
     /// worker threads.
-    fn observe_chains<P>(&self, chains: &mut [Result<ChainResult<P>, SolverError>], elapsed: f64) {
+    fn observe_chains(&self, chains: &mut [Result<ChainResult, SolverError>], elapsed: f64) {
         if !self.obs.enabled() {
             return;
         }
@@ -621,9 +621,9 @@ fn workers(restarts: usize) -> usize {
     }
 }
 
-/// The Metropolis acceptance rule shared by both chain implementations:
-/// accept improvements outright, worse moves with probability
-/// `exp(Δ/temp)`. Consumes one RNG draw exactly when `Δ < 0`.
+/// The Metropolis acceptance rule: accept improvements outright, worse
+/// moves with probability `exp(Δ/temp)`. Consumes one RNG draw exactly
+/// when `Δ < 0`.
 fn metropolis(
     n_score: f64,
     current_score: f64,
@@ -724,7 +724,7 @@ mod tests {
         let jobs = ctx.spec.jobs.iter().map(|j| j.id).collect();
         let gen = NeighborGen::new(jobs, Vec::new());
         let slow = Annealer::new(cfg)
-            .solve_with(init, &gen, |p| evaluate(p, &ctx).map(|e| e.utility), None)
+            .solve_with(init, &gen, |p| evaluate(p, &ctx).map(|e| e.utility), false)
             .unwrap();
         assert_eq!(fast.plan, slow.plan);
         assert_eq!(fast.eval.utility.to_bits(), slow.score.to_bits());

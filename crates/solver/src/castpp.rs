@@ -7,17 +7,22 @@
 //!    handled by running the annealer with
 //!    [`EvalContext::with_reuse_awareness`].
 //! 2. **Workflow awareness** — each workflow is optimised separately to
-//!    *minimise monetary cost subject to its deadline* (Eq. 8–9), with the
-//!    Eq. 10 capacity discount for same-tier hand-offs, cross-tier
-//!    transfer times charged on DAG edges, and neighbour exploration
-//!    following a depth-first traversal of the DAG.
+//!    *minimise monetary cost subject to its deadline* (Eq. 8–9), with
+//!    cross-tier transfer times charged on DAG edges and neighbour
+//!    exploration following a depth-first traversal of the DAG. The
+//!    workflow solves run the same annealing loop as the utility solve,
+//!    over a plan scored by [`evaluate_workflow_global`].
+//!
+//! Deviation from the paper: a workflow solve scores bandwidth and cost
+//! against the whole plan's pooled provisioned capacities, as deployment
+//! provisions them, not against Eq. 10's per-workflow capacities, so
+//! same-tier hand-offs get no capacity discount.
 
 use serde::{Deserialize, Serialize};
 
 use cast_cloud::tier::{PerTier, Tier};
 use cast_cloud::units::{DataSize, Duration, Money};
 use cast_obs::Observe;
-use cast_workload::job::JobId;
 use cast_workload::workflow::Workflow;
 
 use crate::anneal::{AnnealConfig, Annealer};
@@ -34,26 +39,9 @@ use crate::plan::TieringPlan;
 /// half the time).
 const DEADLINE_MARGIN: f64 = 0.94;
 
-/// CAST++ parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CastPlusPlusConfig {
-    /// Annealer settings for the independent-jobs utility solve.
-    pub utility_anneal: AnnealConfig,
-    /// Annealer settings for each per-workflow cost solve.
-    pub workflow_anneal: AnnealConfig,
-}
-
-impl Default for CastPlusPlusConfig {
-    fn default() -> Self {
-        CastPlusPlusConfig {
-            utility_anneal: AnnealConfig::default(),
-            workflow_anneal: AnnealConfig {
-                iterations: 2500,
-                ..AnnealConfig::default()
-            },
-        }
-    }
-}
+/// Iteration budget of each per-workflow cost solve. The utility solve
+/// runs [`AnnealConfig::default`].
+const WORKFLOW_ITERATIONS: usize = 2_500;
 
 /// Evaluation of one workflow under a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -81,9 +69,8 @@ pub struct CastPlusPlusOutcome {
 }
 
 /// The CAST++ solver.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CastPlusPlus {
-    cfg: CastPlusPlusConfig,
     obs: cast_obs::Collector,
 }
 
@@ -96,12 +83,9 @@ impl cast_obs::Observe for CastPlusPlus {
 }
 
 impl CastPlusPlus {
-    /// Create with the given parameters.
-    pub fn new(cfg: CastPlusPlusConfig) -> CastPlusPlus {
-        CastPlusPlus {
-            cfg,
-            obs: cast_obs::Collector::noop(),
-        }
+    /// Create the solver (no observability).
+    pub fn new() -> CastPlusPlus {
+        CastPlusPlus::default()
     }
 
     /// Run the full CAST++ pipeline over `ctx.spec`.
@@ -121,7 +105,7 @@ impl CastPlusPlus {
             }
         }
         let init = init.expect("non-empty candidate set").1;
-        let utility_out = Annealer::new(self.cfg.utility_anneal)
+        let utility_out = Annealer::new(AnnealConfig::default())
             .observe(self.obs.clone())
             .solve(&ctx, init)?;
         let mut plan = utility_out.plan;
@@ -155,27 +139,28 @@ impl CastPlusPlus {
         wf: &Workflow,
         seed_plan: &TieringPlan,
     ) -> Result<TieringPlan, SolverError> {
-        // Mutate only this workflow's jobs, but evaluate against the
-        // whole plan so bandwidth and cost reflect the pooled deployment.
-        let init = seed_plan.clone();
-        let dfs = wf.dfs_order();
-        let cursor: Vec<usize> = (0..dfs.len()).collect();
-        let jobs: Vec<JobId> = dfs;
-        let gen = NeighborGen::new(jobs, Vec::new());
-        let annealer = Annealer::new(self.cfg.workflow_anneal).observe(self.obs.clone());
+        // Mutate only this workflow's jobs, visited in DFS order, but
+        // evaluate against the whole plan so bandwidth and cost reflect
+        // the pooled deployment.
+        let gen = NeighborGen::new(wf.dfs_order(), Vec::new());
+        let annealer = Annealer::new(AnnealConfig {
+            iterations: WORKFLOW_ITERATIONS,
+            ..AnnealConfig::default()
+        })
+        .observe(self.obs.clone());
         let planning_deadline = wf.deadline * DEADLINE_MARGIN;
         // Score-only closure: the annealer materialises nothing per
         // neighbour; callers needing a full evaluation run it once on the
         // winning plan.
         let out = annealer.solve_with(
-            init,
+            seed_plan.clone(),
             &gen,
             |plan| {
                 let mut weval = evaluate_workflow_global(ctx, wf, plan)?;
                 weval.feasible = weval.time <= planning_deadline;
                 Ok(workflow_score(&weval, planning_deadline))
             },
-            Some(&cursor),
+            true,
         )?;
         Ok(out.plan)
     }
@@ -194,82 +179,12 @@ pub fn workflow_score(eval: &WorkflowEval, deadline: Duration) -> f64 {
     }
 }
 
-/// Eq. 10: capacity for workflow members, discounting same-tier hand-offs.
-///
-/// A job charges its input only when it is a root or no parent shares its
-/// tier (otherwise the bytes are already there as the parent's output);
-/// it charges its output when it is a sink or some child shares its tier.
-pub fn workflow_capacities(
-    ctx: &EvalContext<'_>,
-    wf: &Workflow,
-    plan: &TieringPlan,
-) -> Result<PerTier<DataSize>, SolverError> {
-    let mut caps = PerTier::from_fn(|_| DataSize::ZERO);
-    for &jid in &wf.jobs {
-        let a = plan.require(jid)?;
-        a.validate(jid)?;
-        let job = ctx.spec.job(jid).ok_or(SolverError::Unassigned(jid.0))?;
-        let profile = ctx.spec.profiles.get(job.app);
-        let parents = wf.parents(jid);
-        let children = wf.children(jid);
-        let parent_same_tier = parents
-            .iter()
-            .any(|&p| plan.get(p).map(|x| x.tier) == Some(a.tier));
-        let child_same_tier = children
-            .iter()
-            .any(|&c| plan.get(c).map(|x| x.tier) == Some(a.tier));
-        let mut c = job.inter(profile);
-        if parents.is_empty() || !parent_same_tier {
-            c += job.input;
-        }
-        if children.is_empty() || child_same_tier {
-            c += job.output(profile);
-        }
-        c = c * a.overprov;
-        *caps.get_mut(a.tier) += c;
-        match a.tier {
-            Tier::ObjStore => {
-                let inter = job.inter(profile);
-                *caps.get_mut(Tier::ObjStore) -= inter;
-                *caps.get_mut(Tier::PersSsd) += inter;
-            }
-            Tier::EphSsd => {
-                if parents.is_empty() {
-                    *caps.get_mut(Tier::ObjStore) += job.input;
-                }
-                if children.is_empty() {
-                    *caps.get_mut(Tier::ObjStore) += job.output(profile);
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(provision_round(ctx.estimator, &caps))
-}
-
 /// Eq. 9: a workflow's estimated completion time and cost under `plan`,
-/// with the Eq. 10 per-workflow capacity accounting (used for analysing a
-/// workflow in isolation; the solver itself uses
-/// [`evaluate_workflow_global`], which matches deployment-level pooling).
-pub fn evaluate_workflow(
-    ctx: &EvalContext<'_>,
-    wf: &Workflow,
-    plan: &TieringPlan,
-) -> Result<WorkflowEval, SolverError> {
-    let caps = workflow_capacities(ctx, wf, plan)?;
-    let time = workflow_time(ctx, wf, plan, &caps)?;
-    let cost = ctx.cost.breakdown(&caps, time).total();
-    Ok(WorkflowEval {
-        time,
-        cost,
-        feasible: time <= wf.deadline,
-    })
-}
-
-/// Like [`evaluate_workflow`] but with bandwidth and cost accounted against
-/// the *whole plan's* provisioned capacities — matching deployment, where a
-/// tier's volumes are pooled across the workload for its full duration.
-/// `plan` must cover every job in the spec.
+/// with bandwidth and cost accounted against the *whole plan's*
+/// provisioned capacities — matching deployment, where a tier's volumes
+/// are pooled across the workload for its full duration (in place of
+/// Eq. 10's per-workflow capacities). `plan` must cover every job in the
+/// spec.
 pub fn evaluate_workflow_global(
     ctx: &EvalContext<'_>,
     wf: &Workflow,
@@ -354,27 +269,15 @@ fn workflow_time(
 mod tests {
     use super::*;
     use crate::objective::tests::toy_estimator;
+    use cast_workload::job::JobId;
     use cast_workload::synth;
-
-    fn quick_cfg() -> CastPlusPlusConfig {
-        CastPlusPlusConfig {
-            utility_anneal: AnnealConfig {
-                iterations: 400,
-                ..AnnealConfig::default()
-            },
-            workflow_anneal: AnnealConfig {
-                iterations: 600,
-                ..AnnealConfig::default()
-            },
-        }
-    }
 
     #[test]
     fn fig4_workflow_solved_within_deadline() {
         let spec = synth::fig4_workflow();
         let est = toy_estimator(10);
         let ctx = EvalContext::new(&est, &spec);
-        let out = CastPlusPlus::new(quick_cfg()).solve(&ctx).unwrap();
+        let out = CastPlusPlus::new().solve(&ctx).unwrap();
         assert_eq!(out.workflows.len(), 1);
         let (_, weval) = out.workflows[0];
         assert!(
@@ -391,33 +294,15 @@ mod tests {
         let est = toy_estimator(10);
         let ctx = EvalContext::new(&est, &spec);
         let wf = &spec.workflows[0];
-        let pp = CastPlusPlus::new(quick_cfg());
+        let pp = CastPlusPlus::new();
         let seed = TieringPlan::uniform(&spec, Tier::PersSsd);
         let solved = pp.solve_workflow(&ctx, wf, &seed).unwrap();
-        let solved_eval = evaluate_workflow(&ctx, wf, &solved).unwrap();
-        let seed_eval = evaluate_workflow(&ctx, wf, &seed).unwrap();
+        let solved_eval = evaluate_workflow_global(&ctx, wf, &solved).unwrap();
+        let seed_eval = evaluate_workflow_global(&ctx, wf, &seed).unwrap();
         if seed_eval.feasible {
             assert!(solved_eval.feasible);
             assert!(solved_eval.cost.dollars() <= seed_eval.cost.dollars() + 1e-12);
         }
-    }
-
-    #[test]
-    fn same_tier_handoff_discounts_capacity() {
-        let spec = synth::fig4_workflow();
-        let est = toy_estimator(10);
-        let ctx = EvalContext::new(&est, &spec);
-        let wf = &spec.workflows[0];
-        let uniform = TieringPlan::uniform(&spec, Tier::PersSsd);
-        let caps_uniform = workflow_capacities(&ctx, wf, &uniform).unwrap();
-        // Independent accounting (Eq. 3) charges every job's input.
-        let caps_naive = uniform.capacities(&spec, false).unwrap();
-        assert!(
-            caps_uniform.get(Tier::PersSsd).gb() < caps_naive.get(Tier::PersSsd).gb(),
-            "Eq. 10 must discount same-tier hand-offs: {} vs {}",
-            caps_uniform.get(Tier::PersSsd).gb(),
-            caps_naive.get(Tier::PersSsd).gb()
-        );
     }
 
     #[test]
@@ -431,8 +316,8 @@ mod tests {
         // Move the sink (Join) to a different tier: its two in-edges now
         // pay transfers.
         split.assign(JobId(3), crate::plan::Assignment::exact(Tier::PersHdd));
-        let t_uniform = evaluate_workflow(&ctx, wf, &uniform).unwrap().time;
-        let t_split = evaluate_workflow(&ctx, wf, &split).unwrap().time;
+        let t_uniform = evaluate_workflow_global(&ctx, wf, &uniform).unwrap().time;
+        let t_split = evaluate_workflow_global(&ctx, wf, &split).unwrap().time;
         assert!(t_split.secs() > t_uniform.secs());
     }
 
@@ -463,7 +348,7 @@ mod tests {
         let spec = synth::workflow_suite(5);
         let est = toy_estimator(25);
         let ctx = EvalContext::new(&est, &spec);
-        let out = CastPlusPlus::new(quick_cfg()).solve(&ctx).unwrap();
+        let out = CastPlusPlus::new().solve(&ctx).unwrap();
         assert_eq!(out.plan.len(), 31);
         assert_eq!(out.workflows.len(), 5);
     }

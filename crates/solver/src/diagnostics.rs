@@ -27,15 +27,6 @@ pub struct SolveDiagnostics {
 }
 
 impl SolveDiagnostics {
-    /// Relative improvement of best over initial.
-    pub fn improvement(&self) -> f64 {
-        if self.initial_score.abs() < f64::EPSILON {
-            0.0
-        } else {
-            (self.best_score - self.initial_score) / self.initial_score.abs()
-        }
-    }
-
     /// Number of annealing moves after which the best-so-far score first
     /// reached `target` (resolution: one trace stride). `None` when the
     /// run never got there. Used to compare warm-started against
@@ -53,28 +44,6 @@ impl SolveDiagnostics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rates() {
-        let d = SolveDiagnostics {
-            iterations: 100,
-            accepted: 40,
-            uphill_accepted: 10,
-            improvements: 5,
-            initial_score: 1.0,
-            best_score: 1.5,
-            trace: vec![],
-            trace_stride: 100,
-            restarts: 1,
-        };
-        assert!((d.improvement() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_iterations_safe() {
-        let d = SolveDiagnostics::default();
-        assert_eq!(d.improvement(), 0.0);
-    }
 
     #[test]
     fn moves_to_reach_scans_the_trace() {

@@ -16,8 +16,6 @@ pub enum SolverError {
         /// The factor supplied.
         factor: f64,
     },
-    /// A workflow-mode solve was requested for a job outside any workflow.
-    NotInWorkflow(u32),
     /// The workload itself is malformed (e.g. a reuse group reads a
     /// dataset the spec does not define).
     Workload(cast_workload::WorkloadError),
@@ -32,9 +30,6 @@ impl fmt::Display for SolverError {
                 f,
                 "job #{job}: over-provisioning factor {factor} violates Eq. 3 (must be ≥ 1)"
             ),
-            SolverError::NotInWorkflow(j) => {
-                write!(f, "job #{j} is not a member of any workflow")
-            }
             SolverError::Workload(e) => write!(f, "workload error: {e}"),
         }
     }

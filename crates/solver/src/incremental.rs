@@ -65,9 +65,10 @@ use crate::plan::{Assignment, TieringPlan};
 
 /// The solver's job equivalence class: the whole of what `REG(·)` — and
 /// therefore the objective — reads from a job. Jobs with equal keys are
-/// interchangeable to the estimator; [`IncrementalEval`] memoises on this
-/// key, and fleet-level solve dedup reuses the same notion of sameness.
-pub fn job_class_key(job: &Job) -> (cast_workload::AppKind, u64, usize, usize) {
+/// interchangeable to the estimator, and [`IncrementalEval`] memoises on
+/// this key. Fleet solve dedup does not call it: it compares
+/// `cast-runtime`'s `SolveInputs`, which build the same tuple per job.
+fn job_class_key(job: &Job) -> (cast_workload::AppKind, u64, usize, usize) {
     (job.app, job.input.bytes().to_bits(), job.maps, job.reduces)
 }
 

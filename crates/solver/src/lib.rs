@@ -16,9 +16,12 @@
 //!   strawmen.
 //! * **CAST++** ([`castpp`]) adds data-reuse awareness (jobs sharing a
 //!   dataset share a tier, Eq. 7) and workflow awareness: each workflow's
-//!   cost is minimised subject to its deadline (Eq. 8–9) with the Eq. 10
-//!   capacity discount and cross-tier transfer times, exploring neighbours
-//!   along a DFS traversal of the workflow DAG.
+//!   cost is minimised subject to its deadline (Eq. 8–9) with cross-tier
+//!   transfer times, exploring neighbours along a DFS traversal of the
+//!   workflow DAG. One annealing loop runs both solvers; the workflow
+//!   solves score against the whole plan's pooled provisioned capacities.
+//!   Deviation from the paper: Eq. 10's per-workflow capacities, with
+//!   their discount for same-tier hand-offs, are not applied.
 //!
 //! The search solvers never touch the simulator — they see the world only
 //! through the [`cast_estimator::Estimator`], exactly as CAST sees the real
@@ -37,10 +40,10 @@ pub mod objective;
 pub mod plan;
 
 pub use anneal::{restart_seed, AnnealConfig, Annealer, SearchOutcome};
-pub use castpp::{CastPlusPlus, CastPlusPlusConfig};
+pub use castpp::CastPlusPlus;
 pub use diagnostics::SolveDiagnostics;
 pub use error::SolverError;
 pub use greedy::{greedy_plan, GreedyMode};
-pub use incremental::{job_class_key, CacheStats, IncrementalEval};
+pub use incremental::{CacheStats, IncrementalEval};
 pub use objective::{evaluate, EvalContext, PlanEval};
 pub use plan::{Assignment, TieringPlan};

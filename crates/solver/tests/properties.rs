@@ -8,7 +8,7 @@ use cast_cloud::Catalog;
 use cast_estimator::model::{CapacityCurve, ModelMatrix, PhaseBw};
 use cast_estimator::mrcute::ClusterSpec;
 use cast_estimator::Estimator;
-use cast_solver::neighbor::NeighborGen;
+use cast_solver::neighbor::{NeighborGen, OVERPROV_GRID};
 use cast_solver::{
     evaluate, greedy_plan, restart_seed, AnnealConfig, Annealer, Assignment, EvalContext,
     GreedyMode, IncrementalEval, TieringPlan,
@@ -261,7 +261,7 @@ proptest! {
         let cfg = AnnealConfig { iterations, seed, ..AnnealConfig::default() };
         let fast = Annealer::new(cfg).solve(&ctx, init.clone()).expect("incremental chain");
         let slow = Annealer::new(cfg)
-            .solve_with(init, &gen, |p| evaluate(p, &ctx).map(|e| e.utility), None)
+            .solve_with(init, &gen, |p| evaluate(p, &ctx).map(|e| e.utility), false)
             .expect("plan chain");
         prop_assert_eq!(&fast.plan, &slow.plan);
         prop_assert_eq!(fast.eval.utility.to_bits(), slow.score.to_bits());
@@ -277,6 +277,68 @@ proptest! {
                 .collect();
             prop_assert!(tiers.windows(2).all(|w| w[0] == w[1]), "split group {:?}", tiers);
         }
+    }
+
+    /// `solve_with` over a generator that covers a strict subset of the
+    /// jobs, visiting it at random or in order: jobs outside the
+    /// generator keep `init`'s assignment, the returned score has the bits
+    /// of `evaluate` on the returned plan, and a rerun with the same seed
+    /// returns the same plan.
+    #[test]
+    fn solve_with_moves_only_the_generator_jobs(
+        spec in arb_reuse_spec(),
+        reuse_aware in 0usize..2,
+        init_choice in prop::collection::vec((0usize..4, 0usize..5), 8),
+        members in prop::collection::vec(0usize..2, 8),
+        left_out in 0usize..8,
+        sequential in 0usize..2,
+        seed in 0u64..1_000_000,
+    ) {
+        let est = toy_estimator(4);
+        let ctx = if reuse_aware == 1 {
+            EvalContext::new(&est, &spec).with_reuse_awareness()
+        } else {
+            EvalContext::new(&est, &spec)
+        };
+        let mut init = TieringPlan::new();
+        for (job, &(t, f)) in spec.jobs.iter().zip(&init_choice) {
+            init.assign(job.id, Assignment { tier: Tier::ALL[t], overprov: OVERPROV_GRID[f] });
+        }
+        // Position `left_out` is never in the generator, so it covers a
+        // strict subset of the jobs.
+        let left_out = left_out % spec.jobs.len();
+        let jobs: Vec<JobId> = spec
+            .jobs
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != left_out && members[i] == 1)
+            .map(|(_, j)| j.id)
+            .collect();
+        let groups: Vec<Vec<JobId>> = if reuse_aware == 1 {
+            spec.reuse_groups().into_iter().map(|(_, jobs)| jobs).collect()
+        } else {
+            Vec::new()
+        };
+        let gen = NeighborGen::new(jobs.clone(), groups);
+        let cfg = AnnealConfig { iterations: 300, seed, ..AnnealConfig::default() };
+        let run = || {
+            Annealer::new(cfg)
+                .solve_with(
+                    init.clone(),
+                    &gen,
+                    |p| evaluate(p, &ctx).map(|e| e.utility),
+                    sequential == 1,
+                )
+                .expect("plan chain")
+        };
+        let out = run();
+        prop_assert_eq!(out.plan.len(), spec.jobs.len());
+        for job in spec.jobs.iter().filter(|j| !jobs.contains(&j.id)) {
+            prop_assert_eq!(out.plan.get(job.id), init.get(job.id));
+        }
+        let oracle = evaluate(&out.plan, &ctx).expect("oracle").utility;
+        prop_assert_eq!(out.score.to_bits(), oracle.to_bits());
+        prop_assert_eq!(&run().plan, &out.plan);
     }
 }
 

@@ -3,8 +3,10 @@
 //! §3.1.3: analytics queries compile into chains of batch jobs where one
 //! job's output feeds the next. A [`Workflow`] is a directed acyclic graph
 //! over job ids plus a tenant deadline; CAST++ optimises each workflow's
-//! data placement to minimise cost subject to that deadline (Eq. 8–10),
-//! traversing the DAG depth-first when exploring neighbours.
+//! data placement to minimise cost subject to that deadline (Eq. 8–9),
+//! traversing the DAG depth-first when exploring neighbours. It scores
+//! against the whole plan's pooled capacities, not Eq. 10's per-workflow
+//! ones (see `cast_solver::castpp`).
 
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};

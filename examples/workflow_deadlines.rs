@@ -9,7 +9,7 @@
 //! ```
 
 use cast::prelude::*;
-use cast::solver::castpp::{evaluate_workflow_global, CastPlusPlus, CastPlusPlusConfig};
+use cast::solver::castpp::{evaluate_workflow_global, CastPlusPlus};
 use cast::solver::EvalContext;
 use cast::workload::synth;
 use cast_estimator::profiler::ProfilerConfig;
@@ -34,7 +34,7 @@ fn main() {
     for deadline_secs in [8000.0, 1300.0, 900.0] {
         spec.workflows[0].deadline = Duration::from_secs(deadline_secs);
         let ctx = EvalContext::new(framework.estimator(), &spec);
-        let solver = CastPlusPlus::new(CastPlusPlusConfig::default());
+        let solver = CastPlusPlus::new();
         let out = solver.solve(&ctx).expect("solve");
         let wf = &spec.workflows[0];
         let eval = evaluate_workflow_global(&ctx.clone().with_reuse_awareness(), wf, &out.plan)
